@@ -49,7 +49,6 @@ func runReplay(args []string) {
 		faultArg = fs.String("faults", "", "inject a fault schedule: 'storm' (seeded outage-storm preset) or a JSONL schedule path")
 		sigma    = fs.Float64("overrun-sigma", 0.5, "log-normal estimate-error sigma (0 = exact estimates)")
 		mu       = fs.Float64("overrun-mu", 0, "log-normal estimate-error mu")
-		workers  = fs.Int("score-workers", 0, "parallel scoring pool size (0/1 sequential, -1 = GOMAXPROCS)")
 		snapshot = fs.Bool("metrics", false, "print the scheduler metrics snapshot per policy")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile (taken after the replay) to this file")
@@ -119,7 +118,6 @@ func runReplay(args []string) {
 			fmt.Fprintf(os.Stderr, "skyctl replay: unknown policy %q\n", name)
 			os.Exit(2)
 		}
-		cfg.ScoreWorkers = *workers
 		rc := workload.ReplayConfig{
 			Sched:        cfg,
 			OverrunMu:    *mu,

@@ -43,7 +43,6 @@ func runSched(args []string) {
 		spikeAt   = fs.Duration("spike-at", time.Minute, "spot price spike time (with -spot)")
 		until     = fs.Duration("until", 15*time.Minute, "measurement horizon (virtual time)")
 		wanMB     = fs.Int("wan-mb", 60, "inter-cloud link bandwidth, MB/s")
-		scoreWork = fs.Int("score-workers", 0, "parallel scoring pool size (0/1 sequential, -1 = GOMAXPROCS); decisions identical at any setting")
 
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/trace on this address while the run steps")
 		traceOut    = fs.String("trace-out", "", "append scheduler decision trace JSONL to this file")
@@ -72,7 +71,7 @@ func runSched(args []string) {
 		m := vm.NewContentModel(*seed+int64(i)*17, "debian", 0.1, 0.5, 2048)
 		c.PutImage(vm.NewDiskImage("debian", 1024, 65536, m))
 	}
-	cfg := sched.Config{ScoreWorkers: *scoreWork}
+	cfg := sched.Config{}
 	if *random {
 		cfg.Placement = sched.RandomPlacement{}
 	}

@@ -143,42 +143,10 @@ func TestTimeIndexRemoveMissing(t *testing.T) {
 	}
 }
 
-// TestAcquireUntilGen: the generation-validated commit helper admits only
-// when the ledger generation still matches the caller's speculation
-// snapshot, and a forced transition in between yields ErrStaleGeneration
-// without touching the account.
-func TestAcquireUntilGen(t *testing.T) {
-	l := ledger2()
-	gen := l.Generation()
-	le, err := l.AcquireUntilGen("a", 4, 0, gen)
-	if err != nil || le == nil {
-		t.Fatalf("AcquireUntilGen at current gen: %v", err)
-	}
-	// A forced transition moves the generation: the stale helper must
-	// refuse, leaving free cores untouched.
-	if _, err := l.Evict(le, 100*sim.Second); err != nil {
-		t.Fatalf("Evict: %v", err)
-	}
-	if l.Generation() == gen {
-		t.Fatal("Evict did not move the generation")
-	}
-	free := l.Free("a")
-	if _, err := l.AcquireUntilGen("a", 2, 0, gen); err != ErrStaleGeneration {
-		t.Fatalf("stale AcquireUntilGen err=%v, want ErrStaleGeneration", err)
-	}
-	if l.Free("a") != free {
-		t.Fatalf("stale AcquireUntilGen changed free: %d -> %d", free, l.Free("a"))
-	}
-	// Rescoring against the current generation succeeds.
-	if _, err := l.AcquireUntilGen("a", 2, 0, l.Generation()); err != nil {
-		t.Fatalf("rescored AcquireUntilGen: %v", err)
-	}
-}
-
 // TestLedgerConcurrentSmoke hammers the ledger from many goroutines under
 // -race: mixed acquires/releases/probes/evictions on shared clouds. The
 // assertions are the ledger's own invariants at the end; the point is that
-// the instrumented lock makes interleavings safe at all.
+// the lock makes interleavings safe at all.
 func TestLedgerConcurrentSmoke(t *testing.T) {
 	l := New()
 	l.AddCloud("x", 256)
@@ -231,7 +199,121 @@ func TestLedgerConcurrentSmoke(t *testing.T) {
 			t.Fatalf("%s: free=%d committed=%d total=256", c, l.Free(c), l.Committed(c))
 		}
 	}
-	if l.mu.Acquisitions() == 0 {
-		t.Fatal("instrumented lock recorded no acquisitions")
+}
+
+// TestLedgerReadRaceStress hammers the locked read surface (Free, Headroom,
+// Probe) from reader goroutines while writers acquire, reserve, release,
+// fail, and restore clouds — the -race check that every read takes the
+// lock. Readers race real writers, so they assert only what holds for any
+// single consistent state: free cores stay within [0, total], headroom
+// within [0, total], a zero-core probe of a known cloud always passes, and
+// a probe past the total never does. After the writers quiesce, every
+// cloud is restored and empty, and Probe must agree with Headroom exactly.
+func TestLedgerReadRaceStress(t *testing.T) {
+	clouds := []string{"a", "b", "c", "d", "e", "f"}
+	totals := map[string]int{}
+	for i, c := range clouds {
+		totals[c] = 64 + 32*i
+	}
+	for round := 0; round < 4; round++ {
+		l := New()
+		for _, c := range clouds {
+			l.AddCloud(c, totals[c])
+		}
+		var rwg sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < 2; r++ {
+			rwg.Add(1)
+			go func(seed int64) {
+				defer rwg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					c := clouds[rng.Intn(len(clouds))]
+					total := totals[c]
+					at := sim.FromSeconds(float64(rng.Intn(500)))
+					if f := l.Free(c); f < 0 || f > total {
+						t.Errorf("Free(%s) = %d outside [0, %d]", c, f, total)
+						return
+					}
+					if h := l.Headroom(c, at); h < 0 || h > total {
+						t.Errorf("Headroom(%s) = %d outside [0, %d]", c, h, total)
+						return
+					}
+					if !l.Probe(c, 0, at) {
+						t.Errorf("Probe(%s, 0) false for a known cloud", c)
+						return
+					}
+					if l.Probe(c, total+1, at) {
+						t.Errorf("Probe(%s, %d) true past the cloud's total", c, total+1)
+						return
+					}
+				}
+			}(int64(100 + r))
+		}
+		var wwg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wwg.Add(1)
+			go func(seed int64) {
+				defer wwg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				var mine []*Lease
+				for op := 0; op < 3000; op++ {
+					c := clouds[rng.Intn(len(clouds))]
+					switch rng.Intn(8) {
+					case 0, 1, 2:
+						var end sim.Time
+						if rng.Intn(2) == 0 {
+							end = sim.FromSeconds(float64(1 + rng.Intn(400)))
+						}
+						if le, err := l.AcquireUntil(c, 1+rng.Intn(4), end); err == nil {
+							mine = append(mine, le)
+						}
+					case 3:
+						if le, err := l.Reserve(c, 1+rng.Intn(8), sim.FromSeconds(float64(1+rng.Intn(400)))); err == nil {
+							mine = append(mine, le)
+						}
+					case 4, 5:
+						if len(mine) > 0 {
+							i := rng.Intn(len(mine))
+							mine[i].Release()
+							mine = append(mine[:i], mine[i+1:]...)
+						}
+					case 6:
+						l.FailCloud(c)
+					case 7:
+						l.RestoreCloud(c)
+					}
+				}
+				for _, le := range mine {
+					le.Release()
+				}
+			}(int64(200 + w))
+		}
+		wwg.Wait()
+		close(stop)
+		rwg.Wait()
+		for _, c := range clouds {
+			if err := l.RestoreCloud(c); err != nil {
+				t.Fatal(err)
+			}
+			total := totals[c]
+			if f := l.Free(c); f != total {
+				t.Fatalf("round %d: quiesced Free(%s) = %d, want %d", round, c, f, total)
+			}
+			for _, at := range []sim.Time{0, sim.FromSeconds(10), sim.FromSeconds(500)} {
+				h := l.Headroom(c, at)
+				if h != total {
+					t.Fatalf("round %d: quiesced Headroom(%s, %v) = %d, want %d", round, c, at, h, total)
+				}
+				if !l.Probe(c, h, at) || l.Probe(c, h+1, at) {
+					t.Fatalf("round %d: Probe(%s) disagrees with Headroom %d at %v", round, c, h, at)
+				}
+			}
+		}
 	}
 }

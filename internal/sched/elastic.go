@@ -30,13 +30,6 @@ func (s *Scheduler) elasticTick() {
 		s.kick()
 	}
 	s.runScratch = append(s.runScratch[:0], s.running...)
-	// Pool-parallel path: evaluation fans out per running job, mutations
-	// stay on a sequential commit walk in the same order — byte-identical
-	// decisions (see elasticPar).
-	if s.pool != nil && len(s.runScratch) >= parallelElasticMin {
-		s.elasticPar()
-		return
-	}
 	for _, j := range s.runScratch {
 		if j.State != Running || j.handle == nil {
 			continue

@@ -33,10 +33,6 @@ type Tenant struct {
 	// question placement scoring asks of the pattern map, kept here so the
 	// per-candidate scoring loops skip the string map lookup.
 	boosted bool
-	// shard and idx are the tenant's partition and position in the
-	// name-sorted tenant list under the parallel core's sharding (stamped by
-	// rebuildShards; meaningless while shardsDirty).
-	shard, idx int
 }
 
 // decay brings the tenant's charged usage forward to now under the
@@ -73,7 +69,6 @@ func (s *Scheduler) AddTenant(name string, weight float64) *Tenant {
 		s.tenantList = append(s.tenantList, nil)
 		copy(s.tenantList[i+1:], s.tenantList[i:])
 		s.tenantList[i] = t
-		s.shardsDirty = true // the shard partition must cover the new tenant
 	}
 	t.Weight = weight
 	return t
@@ -168,18 +163,13 @@ func (s *Scheduler) trueUp(t *Tenant, j *Job, now sim.Time) {
 // work from the running list — no walk over archived history.
 func (s *Scheduler) Shares() map[string]float64 {
 	now := s.K.Now()
-	var raw map[string]float64
-	if s.pool != nil && len(s.tenantList) >= shardMinTenants && s.trefsResolved() {
-		raw = s.rawSharesSharded(now)
-	} else {
-		raw = make(map[string]float64, len(s.tenants))
-		for name, t := range s.tenants {
-			raw[name] = t.delivered
-		}
-		for _, j := range s.running {
-			if j.State == Running {
-				raw[j.Spec.Tenant] += j.runCoreSeconds(now)
-			}
+	raw := make(map[string]float64, len(s.tenants))
+	for name, t := range s.tenants {
+		raw[name] = t.delivered
+	}
+	for _, j := range s.running {
+		if j.State == Running {
+			raw[j.Spec.Tenant] += j.runCoreSeconds(now)
 		}
 	}
 	// Sum in name-sorted tenant order, not map iteration order: the total

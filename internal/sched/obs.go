@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -50,7 +49,6 @@ type schedMetrics struct {
 	consolidations        *obs.Counter
 	resvCacheHits         *obs.Counter
 	planMemoHits          *obs.Counter
-	parallelConflicts     *obs.Counter
 	viewSeals             *obs.Counter
 	resvHoldReuses        *obs.Counter
 
@@ -61,9 +59,8 @@ type schedMetrics struct {
 	readmissions   *obs.Counter
 	launchRetries  *obs.Counter
 
-	queuedJobs   *obs.Gauge
-	runningJobs  *obs.Gauge
-	scoreWorkers *obs.Gauge
+	queuedJobs  *obs.Gauge
+	runningJobs *obs.Gauge
 
 	recoverySeconds *obs.Histogram
 
@@ -71,7 +68,6 @@ type schedMetrics struct {
 	phaseBackfill   *obs.Histogram
 	phasePreemption *obs.Histogram
 	phaseElastic    *obs.Histogram
-	phaseShardScan  *obs.Histogram
 
 	// clock samples monotonic wall time in nanoseconds for the phase
 	// histograms — the only non-virtual time in the scheduler, which is why
@@ -83,16 +79,17 @@ type schedMetrics struct {
 // newSchedMetrics registers the scheduler's instruments in reg (a private
 // registry when nil, so the scheduler always runs instrumented — the
 // benchdiff gate measures the real hot path).
-func newSchedMetrics(reg *obs.Registry, workers int) schedMetrics {
+func newSchedMetrics(reg *obs.Registry) schedMetrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	// The workers label pins each phase series to the resolved pool size, so
-	// scrapes can tell a phase-speedup regression (same workers, slower
-	// phase) from a worker-count change.
+	// The scheduler is single-threaded, so the workers label is always "1".
+	// It stays on the phase series because existing scrapers and dashboards
+	// select on it (the replay benchmark's driver reads
+	// sky_sched_phase_seconds_sum{phase=…,workers="1"}).
 	phase := reg.HistogramVec("sky_sched_phase_seconds",
 		"Wall-clock time per scheduling phase per cycle.", phaseBuckets, "phase", "workers")
-	w := strconv.Itoa(workers)
+	const w = "1"
 	// Monotonic clock: observePhases only ever differences samples, and
 	// time.Since's monotonic fast path costs roughly half a wall-clock read
 	// — the clock is sampled several times per cycle, so it shows up.
@@ -117,7 +114,6 @@ func newSchedMetrics(reg *obs.Registry, workers int) schedMetrics {
 		consolidations:        reg.Counter("sky_sched_consolidations_total", "Consolidations completed (plan rewritten)."),
 		resvCacheHits:         reg.Counter("sky_sched_resv_cache_hits_total", "Blocked-head cycles served from the reservation cache."),
 		planMemoHits:          reg.Counter("sky_sched_plan_memo_hits_total", "Cycle-scan placements served from the within-cycle plan memo."),
-		parallelConflicts:     reg.Counter("sky_sched_parallel_conflicts_total", "Speculated plans invalidated by capacity movement and rescored before commit."),
 		viewSeals:             reg.Counter("sky_sched_view_seals_total", "Cycle starts whose world matched the previous cycle's sealed end state (plan memos carried over)."),
 		resvHoldReuses:        reg.Counter("sky_sched_resv_hold_reuses_total", "Blocked cycles whose recomputed reservation adopted the previous cycle's live ledger leases."),
 		outages:               reg.Counter("sky_faults_outages_total", "Cloud outage events delivered to the scheduler."),
@@ -129,12 +125,10 @@ func newSchedMetrics(reg *obs.Registry, workers int) schedMetrics {
 		recoverySeconds:       reg.Histogram("sky_faults_recovery_seconds", "Virtual seconds from outage requeue to redispatch.", recoveryBuckets),
 		queuedJobs:            reg.Gauge("sky_sched_queued_jobs", "Jobs currently queued."),
 		runningJobs:           reg.Gauge("sky_sched_running_jobs", "Jobs currently running."),
-		scoreWorkers:          reg.Gauge("sky_sched_score_workers", "Resolved plan-scoring worker pool size (1 = sequential core)."),
 		phasePlacement:        phase.With("placement", w),
 		phaseBackfill:         phase.With("backfill", w),
 		phasePreemption:       phase.With("preemption", w),
 		phaseElastic:          phase.With("elastic", w),
-		phaseShardScan:        phase.With("shard_scan", w),
 		clock:                 func() int64 { return int64(time.Since(base)) },
 	}
 }
@@ -230,11 +224,6 @@ func (s *Scheduler) ResvCacheHits() int { return int(s.m.resvCacheHits.Value()) 
 // within-cycle plan memo.
 func (s *Scheduler) PlanMemoHits() int { return int(s.m.planMemoHits.Value()) }
 
-// ParallelConflicts returns the speculated plans invalidated by capacity
-// movement (ledger generation or working-view change) and rescored before
-// commit. Always zero in the sequential core.
-func (s *Scheduler) ParallelConflicts() int { return int(s.m.parallelConflicts.Value()) }
-
 // ViewSeals returns the cycle starts whose world matched the previous
 // cycle's sealed end state (plan memos carried across the boundary).
 func (s *Scheduler) ViewSeals() int { return int(s.m.viewSeals.Value()) }
@@ -242,9 +231,6 @@ func (s *Scheduler) ViewSeals() int { return int(s.m.viewSeals.Value()) }
 // ResvHoldReuses returns the blocked cycles whose recomputed reservation
 // adopted the previous cycle's live ledger leases instead of re-reserving.
 func (s *Scheduler) ResvHoldReuses() int { return int(s.m.resvHoldReuses.Value()) }
-
-// ScoreWorkerCount returns the resolved scoring-pool size (1 = sequential).
-func (s *Scheduler) ScoreWorkerCount() int { return int(s.m.scoreWorkers.Value()) }
 
 // Outages returns the cloud outage events delivered to the scheduler.
 func (s *Scheduler) Outages() int { return int(s.m.outages.Value()) }

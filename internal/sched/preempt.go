@@ -94,25 +94,8 @@ func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]flo
 	now := s.K.Now()
 	shares, entitled := s.Shares(), s.EntitledShares()
 	prices := make(map[*Job]float64, len(cand))
-	if s.pool != nil && len(cand) >= parallelEvictMin {
-		// Pool-parallel pricing: each candidate's price is pure arithmetic
-		// over its own record and the two read-only share maps, written to
-		// an index-aligned slot — order-independent, so the fan-out cannot
-		// perturb the sort below.
-		for len(s.evictPrices) < len(cand) {
-			s.evictPrices = append(s.evictPrices, 0)
-		}
-		pr := s.evictPrices[:len(cand)]
-		s.pool.run(len(cand), func(_, k int) {
-			pr[k] = s.evictPrice(cand[k], now, shares, entitled)
-		})
-		for i, j := range cand {
-			prices[j] = pr[i]
-		}
-	} else {
-		for _, j := range cand {
-			prices[j] = s.evictPrice(j, now, shares, entitled)
-		}
+	for _, j := range cand {
+		prices[j] = s.evictPrice(j, now, shares, entitled)
 	}
 	sort.Slice(cand, func(i, k int) bool {
 		if prices[cand[i]] != prices[cand[k]] {
@@ -122,23 +105,6 @@ func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]flo
 	})
 	av := &s.evictView
 	av.shareIndex(v)
-	// Pool-parallel prefix fit: the what-if availability after each prefix of
-	// the price-sorted candidate list is accumulated sequentially (identical
-	// adds, identical order), then the per-prefix placement probes fan out
-	// over the workers. The winner is the FIRST prefix index with a plan —
-	// the same index the sequential walk below stops at — and the probe plans
-	// are discarded (preemptFor re-chooses after eviction), so only that
-	// index matters. Gated like every speculative path on a pure
-	// scratch-scoring policy; RandomPlacement keeps the sequential loop and
-	// its RNG draw order.
-	if s.pool != nil && len(cand) >= parallelEvictMin && s.memoable {
-		if sc, ok := s.cfg.Placement.(scratchChooser); ok {
-			if k := s.victimPrefixPar(head, cand, av, sc); k >= 0 {
-				return cand[:k+1], prices
-			}
-			return nil, nil
-		}
-	}
 	for n, victim := range cand {
 		// Only the victim's base plan is credited to the what-if view: the
 		// scheduler does not know which clouds host its elastic extras, and
@@ -199,7 +165,7 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 	// not consume would otherwise never wake other unfit-marked jobs.
 	s.evictPrev = append(s.evictPrev[:0], v.free...)
 	v.Reset(s.snapshotClouds())
-	s.bumpView() // mid-cycle re-snapshot: the memo's view is gone
+	s.invalidateMemos() // mid-cycle re-snapshot: the memo's view is gone
 	for i, c := range v.Clouds {
 		if i < len(s.evictPrev) {
 			if d := v.free[i] - s.evictPrev[i]; d > 0 {
@@ -223,7 +189,7 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 	for _, m := range plan.Members {
 		v.take(m.Cloud, m.Workers*cpw)
 	}
-	s.bumpView()
+	s.invalidateMemos()
 	for _, le := range shields {
 		le.Release()
 	}

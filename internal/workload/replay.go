@@ -34,7 +34,7 @@ type ReplayConfig struct {
 	// Clouds is the federation (nil = DefaultClouds).
 	Clouds []CloudSpec
 	// Sched carries the policy knobs under test (preemption, aging,
-	// consolidation, backfill, ScoreWorkers...).
+	// consolidation, backfill, ...).
 	Sched sched.Config
 	// OverrunSigma > 0 installs SimBackend.UseLogNormalOverrun(OverrunMu,
 	// OverrunSigma): estimates stay exact at the median while the right
