@@ -14,14 +14,14 @@ import (
 type TraceEvent struct {
 	Cycle   int64   // scheduler cycle number the decision happened in
 	At      int64   // virtual kernel time, microseconds
-	Kind    string  // dispatch, dispatch_backfill, reserve, block, wake, preempt, forced_preempt, consolidate, relocate, ...
+	Kind    string  // dispatch, dispatch_backfill, reserve, block, wake, gate, preempt, forced_preempt, consolidate, relocate, ...
 	Tenant  string  // owning tenant, if any
 	Job     string  // job ID, if any
 	Cloud   string  // primary / target cloud
 	From    string  // relocation source cloud
 	To      string  // relocation target cloud
-	Workers int     // workers involved (dispatch plan size, relocation move size)
-	Cores   int     // cores involved
+	Workers int     // workers involved (dispatch plan size, relocation move size); gate: the tenant's smallest queued core demand
+	Cores   int     // cores involved; gate: free cores behind the reservation
 	Price   float64 // preemption: victim eviction price
 	Start   int64   // reserve: reserved start instant, virtual microseconds
 	Plan    string  // rendered plan members, e.g. "cloud-a:4+cloud-b:2"

@@ -22,8 +22,9 @@ import (
 // chase deadlines. With storm
 // set, a deterministic outage storm rides along: two full crashes, a flap
 // episode deep enough to quarantine, and a transient deploy-fault burst —
-// the degraded-mode paths must stay byte-deterministic too. Returns the
-// decision trace bytes and the final shares.
+// the degraded-mode paths must stay byte-deterministic too. Every tenant's
+// demand histogram is checked against its queue after every cycle. Returns
+// the decision trace bytes and the final shares.
 func mixedWorkload(t *testing.T, storm bool) ([]byte, map[string]float64) {
 	t.Helper()
 	k := sim.NewKernel(7)
@@ -41,6 +42,7 @@ func mixedWorkload(t *testing.T, storm bool) ([]byte, map[string]float64) {
 		UsageHalfLife:       600 * sim.Second,
 		Trace:               tr,
 	})
+	auditDemandEachCycle(t, s)
 	s.Start()
 	if storm {
 		outage := func(at sim.Time, cloud string, dur sim.Time) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -29,10 +30,63 @@ type Tenant struct {
 	// map); scanCycle tells stale positions from a previous cycle apart.
 	scan      int
 	scanCycle int
+	// demand is the queue's core-demand histogram: one entry per distinct
+	// queueDemand among queued jobs, ascending, so demand[0].cores is the
+	// tenant's smallest queued demand — what the tenant demand gate in
+	// nextTenant compares against the free cores. Kept in step with queue
+	// by addDemand/dropDemand at every insert and removal.
+	demand []demandCount
 	// boosted mirrors "patternOf[name] is all-to-all or ring" — the only
 	// question placement scoring asks of the pattern map, kept here so the
 	// per-candidate scoring loops skip the string map lookup.
 	boosted bool
+}
+
+// demandCount is one demand-histogram bucket: how many queued jobs need
+// exactly cores cores.
+type demandCount struct{ cores, n int }
+
+// queueDemand is a queued job's demand-histogram key: its core demand, or 0
+// for an external job, which runs on capacity the caller already owns — no
+// free-core count can rule it out, so it must never be gated.
+func queueDemand(j *Job) int {
+	if j.Spec.External() {
+		return 0
+	}
+	return j.Cores()
+}
+
+// addDemand counts a job entering the tenant's queue. A tenant's jobs come
+// in a handful of shapes, so the linear walk over distinct demands is
+// shorter than a binary search's setup.
+func (t *Tenant) addDemand(j *Job) {
+	c := queueDemand(j)
+	i := 0
+	for i < len(t.demand) && t.demand[i].cores < c {
+		i++
+	}
+	if i < len(t.demand) && t.demand[i].cores == c {
+		t.demand[i].n++
+		return
+	}
+	t.demand = append(t.demand, demandCount{})
+	copy(t.demand[i+1:], t.demand[i:])
+	t.demand[i] = demandCount{cores: c, n: 1}
+}
+
+// dropDemand uncounts a job leaving the tenant's queue.
+func (t *Tenant) dropDemand(j *Job) {
+	c := queueDemand(j)
+	for i := range t.demand {
+		if t.demand[i].cores != c {
+			continue
+		}
+		if t.demand[i].n--; t.demand[i].n == 0 {
+			t.demand = append(t.demand[:i], t.demand[i+1:]...)
+		}
+		return
+	}
+	panic("sched: demand histogram out of sync")
 }
 
 // decay brings the tenant's charged usage forward to now under the
@@ -100,7 +154,13 @@ func (s *Scheduler) TenantQueueLen(name string) int {
 // Usage is decayed once per cycle (decayTenants) rather than per call:
 // virtual time does not advance inside a cycle, so re-decaying on every
 // scan step of the same cycle is a no-op by construction.
-func (s *Scheduler) nextTenant() *Tenant {
+//
+// freeCores is the tenant demand gate: gateOff before this cycle's
+// reservation exists, afterwards Σ max(free, 0) over the working view. A
+// tenant whose smallest queued demand exceeds it is exhausted for the
+// cycle without visiting its queue (see gateTenant for why that cannot
+// change a decision).
+func (s *Scheduler) nextTenant(freeCores int, sc *scanCounts) *Tenant {
 	var best *Tenant
 	var bestKey float64
 	for _, t := range s.tenantList {
@@ -110,12 +170,45 @@ func (s *Scheduler) nextTenant() *Tenant {
 		if t.scan >= len(t.queue) {
 			continue
 		}
+		if freeCores != gateOff && t.demand[0].cores > freeCores {
+			s.gateTenant(t, freeCores, sc)
+			continue
+		}
 		key := t.usage / t.Weight
 		if best == nil || key < bestKey {
 			best, bestKey = t, key
 		}
 	}
 	return best
+}
+
+// gateOff is nextTenant's freeCores while no reservation is held.
+const gateOff = -1
+
+// gateTenant exhausts a gated tenant's queue for this cycle. Sound because
+// once the reservation is set:
+//   - a gang of Cores() cores cannot be placed by any policy when fewer
+//     cores are free in total (the argument canFit rests on), and the
+//     working free vector only shrinks for the rest of the cycle — the one
+//     mid-cycle re-snapshot, in preemptFor, runs before the reservation
+//     exists;
+//   - a visit to an unplaceable job only advances the scan position and
+//     the watermark and trace bookkeeping, and tenant keys change only on
+//     dispatch, so every dispatching visit keeps its pick order;
+//   - a skipped visit leaves the job's watermark record older or absent,
+//     which only lets a later cycle run a placement the record would have
+//     skipped — and a sound record only skips placements that fail;
+//   - RandomPlacement's prover rejects these jobs before any RNG draw.
+//
+// The only visible difference is that the skipped jobs emit no block/wake
+// trace events; one gate event per tenant and cycle stands in for them.
+func (s *Scheduler) gateTenant(t *Tenant, freeCores int, sc *scanCounts) {
+	sc.gateSkips += int64(len(t.queue) - t.scan)
+	t.scan = len(t.queue)
+	if s.tr != nil {
+		s.trace(obs.TraceEvent{Kind: "gate", Tenant: t.Name,
+			Workers: t.demand[0].cores, Cores: freeCores})
+	}
 }
 
 // decayTenants brings every tenant's usage forward to the cycle's instant,
@@ -191,16 +284,19 @@ func (s *Scheduler) Shares() map[string]float64 {
 	return out
 }
 
-// EntitledShares returns the weight-proportional target shares.
+// EntitledShares returns the weight-proportional target shares. The total
+// is summed in name-sorted tenant order, as in Shares: with fractional
+// weights a map-order sum differs in the last bits from run to run, and
+// the entitlement feeds eviction prices.
 func (s *Scheduler) EntitledShares() map[string]float64 {
 	var total float64
-	for _, t := range s.tenants {
+	for _, t := range s.tenantList {
 		total += t.Weight
 	}
-	out := make(map[string]float64, len(s.tenants))
-	for name, t := range s.tenants {
+	out := make(map[string]float64, len(s.tenantList))
+	for _, t := range s.tenantList {
 		if total > 0 {
-			out[name] = t.Weight / total
+			out[t.Name] = t.Weight / total
 		}
 	}
 	return out

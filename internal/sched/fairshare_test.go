@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -141,5 +143,29 @@ func TestDecayTrueUpDoesNotBankNegativeUsage(t *testing.T) {
 	}
 	if tn.usage == 0 {
 		t.Fatal("usage zero: the completed work left no recent-usage signal at all")
+	}
+}
+
+// TestEntitledSharesBitIdentical: the entitlement total is summed in a
+// fixed tenant order, so repeated identical constructions give
+// bit-identical shares. A map-order sum over fractional weights differs in
+// the last bits between runs, and the entitlement feeds eviction prices.
+func TestEntitledSharesBitIdentical(t *testing.T) {
+	build := func() map[string]float64 {
+		s := New(NewSimBackend(sim.NewKernel(1)), Config{})
+		for i := 1; i <= 12; i++ {
+			s.AddTenant(fmt.Sprintf("t%02d", i), float64(i)/10)
+		}
+		return s.EntitledShares()
+	}
+	want := build()
+	for run := 0; run < 200; run++ {
+		got := build()
+		for name, w := range want {
+			if math.Float64bits(got[name]) != math.Float64bits(w) {
+				t.Fatalf("construction %d: share[%s] = %v (%#x), first construction %v (%#x)",
+					run, name, got[name], math.Float64bits(got[name]), w, math.Float64bits(w))
+			}
+		}
 	}
 }

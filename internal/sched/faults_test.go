@@ -144,6 +144,41 @@ func TestFlappingCloudQuarantined(t *testing.T) {
 	k.Run()
 }
 
+// TestWatermarkVoidedByReadmission: a job marked unplaceable while a
+// quarantined cloud is hidden from the view must wake when the cloud is
+// readmitted, though no core was freed anywhere. Under the single-cloud
+// policy the job's per-cloud marks cover only the clouds it saw at the
+// mark; the rejoin changes the view's cloud list, which voids the record.
+func TestWatermarkVoidedByReadmission(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := NewSimBackend(k)
+	b.AddCloud("a", 16, 1, 0.10)
+	b.AddCloud("b", 16, 1, 0.08)
+	s := New(b, Config{Placement: RandomPlacement{}})
+	failAt(t, k, b, s, "b", 10*sim.Second, 20*sim.Second)
+	failAt(t, k, b, s, "b", 60*sim.Second, 20*sim.Second)
+	k.RunUntil(65 * sim.Second)
+	// b is down: the holder can only land on a, and fills it.
+	submitN(t, s, "hold", 1, JobSpec{Workers: 16, CoresPerWorker: 1, EstimateSeconds: 10000})
+	k.RunUntil(85 * sim.Second)
+	if !s.Quarantined("b") {
+		t.Fatal("b not quarantined after its second restore")
+	}
+	ids := submitN(t, s, "t1", 1, JobSpec{Workers: 8, CoresPerWorker: 1, EstimateSeconds: 30})
+	k.RunUntil(90 * sim.Second)
+	if ji, _ := s.Poll(ids[0]); ji.State != Queued {
+		t.Fatalf("job state=%v with a full and b quarantined, want Queued", ji.State)
+	}
+	// The quarantine lapses by t=170 at the latest (60 s base, jittered);
+	// the holder keeps a full until t≈10065.
+	k.RunUntil(200 * sim.Second)
+	ji, _ := s.Poll(ids[0])
+	if ji.State == Queued || ji.Cloud != "b" || ji.Started > 170*sim.Second {
+		t.Fatalf("job state=%v cloud=%q started=%v after b's readmission, want started on b by t=170s",
+			ji.State, ji.Cloud, ji.Started)
+	}
+}
+
 // TestTransientLaunchRetry: a launch failing with ErrTransientLaunch is
 // requeued behind a jittered backoff and retried, bounded by LaunchRetries;
 // within the budget the job completes, past it the job fails.

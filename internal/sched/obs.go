@@ -52,6 +52,11 @@ type schedMetrics struct {
 	viewSeals             *obs.Counter
 	resvHoldReuses        *obs.Counter
 
+	jobsExamined      *obs.Counter
+	tenantGateSkips   *obs.Counter
+	watermarkSkips    *obs.Counter
+	placementFailures *obs.Counter
+
 	outages        *obs.Counter
 	restores       *obs.Counter
 	outageRequeues *obs.Counter
@@ -116,6 +121,10 @@ func newSchedMetrics(reg *obs.Registry) schedMetrics {
 		planMemoHits:          reg.Counter("sky_sched_plan_memo_hits_total", "Cycle-scan placements served from the within-cycle plan memo."),
 		viewSeals:             reg.Counter("sky_sched_view_seals_total", "Cycle starts whose world matched the previous cycle's sealed end state (plan memos carried over)."),
 		resvHoldReuses:        reg.Counter("sky_sched_resv_hold_reuses_total", "Blocked cycles whose recomputed reservation adopted the previous cycle's live ledger leases."),
+		jobsExamined:          reg.Counter("sky_sched_jobs_examined_total", "Queued jobs the cycle scan visited."),
+		tenantGateSkips:       reg.Counter("sky_sched_tenant_gate_skips_total", "Queued jobs skipped unvisited because their tenant's smallest demand exceeded the free cores behind the reservation."),
+		watermarkSkips:        reg.Counter("sky_sched_watermark_skips_total", "Visited jobs whose blocked-head watermark skipped placement."),
+		placementFailures:     reg.Counter("sky_sched_placement_failures_total", "Visited jobs whose placement attempt found no plan."),
 		outages:               reg.Counter("sky_faults_outages_total", "Cloud outage events delivered to the scheduler."),
 		restores:              reg.Counter("sky_faults_restores_total", "Cloud restore events delivered to the scheduler."),
 		outageRequeues:        reg.Counter("sky_faults_outage_requeues_total", "Running gangs requeued off failed clouds."),
@@ -146,6 +155,20 @@ func (m *schedMetrics) observePhases(total, resv, preempt int64) {
 	if preempt > 0 {
 		m.phasePreemption.Observe(float64(preempt) * 1e-9)
 	}
+}
+
+// scanCounts is one cycle's queue-scan tally, kept in cycle locals and
+// booked into the registry once per cycle by observeScan.
+type scanCounts struct {
+	examined, gateSkips, watermarkSkips, placementFailures int64
+}
+
+// observeScan books one cycle's scan tally.
+func (m *schedMetrics) observeScan(sc *scanCounts) {
+	m.jobsExamined.Add(sc.examined)
+	m.tenantGateSkips.Add(sc.gateSkips)
+	m.watermarkSkips.Add(sc.watermarkSkips)
+	m.placementFailures.Add(sc.placementFailures)
 }
 
 // Obs returns the scheduler's metrics registry (never nil: a private one is

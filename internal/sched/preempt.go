@@ -164,7 +164,9 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 	// observeFrees only diffs at cycle starts, and whatever the head does
 	// not consume would otherwise never wake other unfit-marked jobs.
 	s.evictPrev = append(s.evictPrev[:0], v.free...)
-	v.Reset(s.snapshotClouds())
+	if v.Reset(s.snapshotClouds()) {
+		s.viewShape++
+	}
 	s.invalidateMemos() // mid-cycle re-snapshot: the memo's view is gone
 	for i, c := range v.Clouds {
 		if i < len(s.evictPrev) {
@@ -257,6 +259,7 @@ func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 	t.queue = append(t.queue, nil)
 	copy(t.queue[i+1:], t.queue[i:])
 	t.queue[i] = j
+	t.addDemand(j)
 	// Keep this cycle's scan position pointing at the same next-unexamined
 	// entry (and the head job it is about to dispatch).
 	if t.scanCycle == s.cycleNum && i <= t.scan {

@@ -152,12 +152,15 @@ type Job struct {
 	// for this job (see Scheduler.canFit). Under a single-cloud-only policy
 	// the record is per-cloud instead (unfitMarks): one {slots, freed-clock}
 	// entry per cloud that could ever host the gang, so frees on clouds the
-	// job can never use do not wake it.
+	// job can never use do not wake it. unfitShape is the scheduler's
+	// viewShape at the mark: a cloud joining or leaving the view since voids
+	// the record.
 	unfit         bool
 	unfitSlots    int
 	unfitFreed    int64
 	unfitPerCloud bool
 	unfitGen      uint64
+	unfitShape    uint64
 	unfitMarks    []unfitMark
 	// Delivered-capacity integration: coresNow is the core count the job
 	// holds right now; accrued is core-seconds banked at resize events
@@ -678,6 +681,13 @@ type Scheduler struct {
 	prevFreeNames []string
 	prevFreeVals  []int
 	freedBy       map[string]int64
+	// viewShape counts the cycle views whose cloud list differed from the
+	// view before (CloudView.Reset). The freed-core clocks diff each cloud
+	// against its last-seen free count, so a cloud that left the view with
+	// cores free and rejoins — readmitted from quarantine — brings back
+	// slots no clock credits; bumping viewShape voids every watermark
+	// record made before it.
+	viewShape uint64
 
 	// singleCloud records that the placement policy never spans (optional
 	// SingleCloudOnly interface), enabling the per-cloud watermark marks.
@@ -897,6 +907,7 @@ func (s *Scheduler) Submit(spec JobSpec) (string, error) {
 	s.nQueued++
 	s.m.queuedJobs.SetInt(int64(s.nQueued))
 	t.queue = append(t.queue, j)
+	t.addDemand(j)
 	s.ensureElastic()
 	s.kick()
 	return j.ID, nil
@@ -976,7 +987,9 @@ func (s *Scheduler) kick() {
 // The pass runs over the per-cycle CloudView (one indexed snapshot shared
 // by every score, price, and estimate) and the maintained release list;
 // jobs recorded as unplaceable skip placement entirely until enough cores
-// have been freed to possibly fit them (the blocked-head watermark).
+// have been freed to possibly fit them (the blocked-head watermark), and
+// once the reservation is set a tenant whose smallest queued demand exceeds
+// the free cores is skipped whole (the tenant demand gate, nextTenant).
 func (s *Scheduler) cycle() {
 	s.cyclePending = false
 	s.cycleNum++
@@ -998,7 +1011,9 @@ func (s *Scheduler) cycle() {
 		// cycle makes. Free when no cloud is quarantined (nil-map len check).
 		snap = s.pruneQuarantine(snap)
 	}
-	v.Reset(snap)
+	if v.Reset(snap) {
+		s.viewShape++
+	}
 	if s.sealMatches(v) {
 		// The world this cycle sees is byte-identical to the one the
 		// previous cycle left: every plan memo entry is still the answer
@@ -1011,12 +1026,15 @@ func (s *Scheduler) cycle() {
 	s.observeFrees(v)
 	var releases []coreRelease // running-job ETA snapshot, built on first block
 	haveReleases := false
+	gateFree := gateOff // Σ max(free, 0) once the reservation is set
+	var sc scanCounts   // booked once at cycle end: no atomic op per visit
 	for {
-		t := s.nextTenant()
+		t := s.nextTenant(gateFree, &sc)
 		if t == nil {
 			break
 		}
 		j := t.queue[t.scan]
+		sc.examined++
 		if j.retryAt > s.K.Now() {
 			// Transient-launch backoff in progress: leave the job queued (a
 			// kick is already scheduled for when the backoff lapses) and let
@@ -1040,12 +1058,15 @@ func (s *Scheduler) cycle() {
 				plan = s.choosePlan(j, v)
 			}
 			if plan.Empty() {
+				sc.placementFailures++
 				s.markUnfit(j, v)
 				if s.tr != nil {
 					s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
 						Workers: j.workers(), Cores: j.Cores()})
 				}
 			}
+		} else {
+			sc.watermarkSkips++
 		}
 		if !plan.Empty() {
 			if s.resv != nil && !s.backfillOK(j, plan, s.resv, v) {
@@ -1058,6 +1079,9 @@ func (s *Scheduler) cycle() {
 				v.take(m.Cloud, m.Workers*cpw)
 			}
 			s.invalidateMemos() // the working free vector moved
+			if s.resv != nil {
+				gateFree = v.freeSum()
+			}
 			continue
 		}
 		if s.resv == nil {
@@ -1106,6 +1130,7 @@ func (s *Scheduler) cycle() {
 			// its ledger leases this cycle — the drop-and-refail step that
 			// stops a misestimated gang from shading elastic growth forever.
 			s.holdReservation(&r, j.coresPerWorker(), !aged)
+			gateFree = v.freeSum()
 			if !hit {
 				s.sumReleasesAt(v, releases, r.at)
 				s.cacheReservation(j, v, &r)
@@ -1125,6 +1150,7 @@ func (s *Scheduler) cycle() {
 	s.saveEndFrees(v)
 	s.sealRecord(v)
 	s.m.observePhases(s.m.clock()-t0, resvNanos, preemptNanos)
+	s.m.observeScan(&sc)
 }
 
 // viewSeal is the end-of-cycle world record behind the cross-cycle memo
@@ -1269,8 +1295,12 @@ func (s *Scheduler) saveEndFrees(v *CloudView) {
 // choose for it are ignored, so a flurry of small completions elsewhere
 // does not re-run placement for a job they cannot help. A ledger generation
 // bump (cloud added, resized, or a forced transition) voids the marks.
+//
+// Either record is void once the view's cloud list has changed since the
+// mark (viewShape): the clocks credit frees on clouds present in
+// consecutive cycles, not capacity on a cloud that rejoins the view.
 func (s *Scheduler) canFit(j *Job) bool {
-	if !j.unfit {
+	if !j.unfit || j.unfitShape != s.viewShape {
 		return true
 	}
 	if j.unfitPerCloud {
@@ -1299,6 +1329,7 @@ func (s *Scheduler) markUnfit(j *Job, v *CloudView) {
 		}
 	}
 	j.unfit, j.unfitSlots, j.unfitFreed = true, slots, s.freedCum
+	j.unfitShape = s.viewShape
 	j.unfitPerCloud = s.singleCloud
 	if !s.singleCloud {
 		return
@@ -1414,6 +1445,7 @@ func (s *Scheduler) popQueued(t *Tenant, j *Job) {
 		panic("sched: queue index out of sync")
 	}
 	t.queue = append(t.queue[:i], t.queue[i+1:]...)
+	t.dropDemand(j)
 	s.nQueued--
 	s.m.queuedJobs.SetInt(int64(s.nQueued))
 }

@@ -23,8 +23,9 @@ type CloudView struct {
 
 // Reset points the view at a fresh snapshot and reloads the working free
 // vector from it. The name index is reused when the cloud names are
-// unchanged (the common case).
-func (v *CloudView) Reset(snap []CloudInfo) {
+// unchanged (the common case); Reset reports whether they changed — a
+// cloud joined or left the view.
+func (v *CloudView) Reset(snap []CloudInfo) bool {
 	v.Clouds = snap
 	v.free = v.free[:0]
 	same := len(v.names) == len(snap)
@@ -35,7 +36,7 @@ func (v *CloudView) Reset(snap []CloudInfo) {
 		}
 	}
 	if same {
-		return
+		return false
 	}
 	v.names = v.names[:0]
 	if v.pos == nil {
@@ -47,6 +48,7 @@ func (v *CloudView) Reset(snap []CloudInfo) {
 		v.names = append(v.names, c.Name)
 		v.pos[c.Name] = i
 	}
+	return true
 }
 
 // shareIndex makes v an alias of src's snapshot and name index with its own
@@ -89,6 +91,18 @@ func (v *CloudView) Free(name string) int {
 
 // FreeAt returns the working free cores for the cloud at position i.
 func (v *CloudView) FreeAt(i int) int { return v.free[i] }
+
+// freeSum returns Σ max(free, 0) over the working free vector: the most
+// cores any plan could take from the view.
+func (v *CloudView) freeSum() int {
+	sum := 0
+	for _, f := range v.free {
+		if f > 0 {
+			sum += f
+		}
+	}
+	return sum
+}
 
 // take decrements the working free vector for a dispatched plan slice.
 func (v *CloudView) take(name string, cores int) {
