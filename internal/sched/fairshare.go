@@ -188,20 +188,18 @@ const gateOff = -1
 // gateTenant exhausts a gated tenant's queue for this cycle. Sound because
 // once the reservation is set:
 //   - a gang of Cores() cores cannot be placed by any policy when fewer
-//     cores are free in total (the argument canFit rests on), and the
-//     working free vector only shrinks for the rest of the cycle — the one
-//     mid-cycle re-snapshot, in preemptFor, runs before the reservation
-//     exists;
-//   - a visit to an unplaceable job only advances the scan position and
-//     the watermark and trace bookkeeping, and tenant keys change only on
-//     dispatch, so every dispatching visit keeps its pick order;
-//   - a skipped visit leaves the job's watermark record older or absent,
-//     which only lets a later cycle run a placement the record would have
-//     skipped — and a sound record only skips placements that fail;
+//     cores are free in total, and the working free vector only shrinks
+//     for the rest of the cycle — the one mid-cycle re-snapshot, in
+//     preemptFor, runs before the reservation exists;
+//   - a visit to an unplaceable job only advances the scan position,
+//     counts a placement failure and emits a block trace event, and tenant
+//     keys change only on dispatch, so every dispatching visit keeps its
+//     pick order;
 //   - RandomPlacement's prover rejects these jobs before any RNG draw.
 //
-// The only visible difference is that the skipped jobs emit no block/wake
-// trace events; one gate event per tenant and cycle stands in for them.
+// The only visible difference is that the skipped jobs emit no block trace
+// events and count no placement failures; one gate event per tenant and
+// cycle stands in for them.
 func (s *Scheduler) gateTenant(t *Tenant, freeCores int, sc *scanCounts) {
 	sc.gateSkips += int64(len(t.queue) - t.scan)
 	t.scan = len(t.queue)

@@ -144,11 +144,11 @@ func TestFlappingCloudQuarantined(t *testing.T) {
 	k.Run()
 }
 
-// TestWatermarkVoidedByReadmission: a job marked unplaceable while a
-// quarantined cloud is hidden from the view must wake when the cloud is
-// readmitted, though no core was freed anywhere. Under the single-cloud
-// policy the job's per-cloud marks cover only the clouds it saw at the
-// mark; the rejoin changes the view's cloud list, which voids the record.
+// TestWatermarkVoidedByReadmission: a job blocked while a quarantined cloud
+// is hidden from the view must dispatch when the cloud is readmitted,
+// though no core was freed anywhere. It guards the fit-prover path: the
+// prover reads each cycle's fresh view, so the rejoined cloud's free cores
+// count at once.
 func TestWatermarkVoidedByReadmission(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)

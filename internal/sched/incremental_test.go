@@ -10,7 +10,7 @@ import (
 )
 
 // Tests for the incremental scheduler core: the active/archive job split,
-// the maintained release list, and the blocked-head watermark.
+// the maintained release list, and blocked jobs behind the fit prover.
 
 // TestArchiveVisibility: finished jobs move to the archive but stay fully
 // visible through Poll and Jobs(), in submission order, alongside active
@@ -100,7 +100,7 @@ func closeTo(a, b float64) bool {
 }
 
 // TestWatermarkExactDemand: a completion that frees exactly the blocked
-// job's demand must dispatch it at that instant — the watermark may skip
+// job's demand must dispatch it at that instant — the fit prover may skip
 // placement only while the job provably cannot fit.
 func TestWatermarkExactDemand(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -127,15 +127,16 @@ func TestWatermarkExactDemand(t *testing.T) {
 		t.Fatalf("blocked job state = %v, want done", bi.State)
 	}
 	if bi.Started != si.Finished {
-		t.Errorf("blocked job started at %v, want the short job's completion %v (watermark stranded it)",
+		t.Errorf("blocked job started at %v, want the short job's completion %v (the prover stranded it)",
 			bi.Started, si.Finished)
 	}
 }
 
 // TestWatermarkAccumulatesFrees: a wide blocked job must dispatch once
 // several small completions have cumulatively freed its demand, even though
-// each individual completion frees less than it needs (the skip condition
-// integrates gains; it never compares against a single completion).
+// each individual completion frees less than it needs (the fit prover sums
+// the slots of the whole free vector; it never compares against a single
+// completion).
 func TestWatermarkAccumulatesFrees(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)

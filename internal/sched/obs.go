@@ -10,7 +10,7 @@ import (
 // int stats lives on registry counters now (atomic, so the elastic loop
 // goroutine and stat readers no longer race), the queue and running-set
 // sizes are gauges, and each cycle's wall-clock cost is split into phase
-// histograms. Decision tracing (dispatch, reserve, block/wake, preemption,
+// histograms. Decision tracing (dispatch, reserve, block, gate, preemption,
 // consolidation) goes through the optional obs.Tracer in Config.Trace —
 // every emission site is guarded by a nil check so untraced runs pay
 // nothing, and events carry only virtual-time state so same-seed runs
@@ -54,7 +54,6 @@ type schedMetrics struct {
 
 	jobsExamined      *obs.Counter
 	tenantGateSkips   *obs.Counter
-	watermarkSkips    *obs.Counter
 	placementFailures *obs.Counter
 
 	outages        *obs.Counter
@@ -123,7 +122,6 @@ func newSchedMetrics(reg *obs.Registry) schedMetrics {
 		resvHoldReuses:        reg.Counter("sky_sched_resv_hold_reuses_total", "Blocked cycles whose recomputed reservation adopted the previous cycle's live ledger leases."),
 		jobsExamined:          reg.Counter("sky_sched_jobs_examined_total", "Queued jobs the cycle scan visited."),
 		tenantGateSkips:       reg.Counter("sky_sched_tenant_gate_skips_total", "Queued jobs skipped unvisited because their tenant's smallest demand exceeded the free cores behind the reservation."),
-		watermarkSkips:        reg.Counter("sky_sched_watermark_skips_total", "Visited jobs whose blocked-head watermark skipped placement."),
 		placementFailures:     reg.Counter("sky_sched_placement_failures_total", "Visited jobs whose placement attempt found no plan."),
 		outages:               reg.Counter("sky_faults_outages_total", "Cloud outage events delivered to the scheduler."),
 		restores:              reg.Counter("sky_faults_restores_total", "Cloud restore events delivered to the scheduler."),
@@ -160,14 +158,13 @@ func (m *schedMetrics) observePhases(total, resv, preempt int64) {
 // scanCounts is one cycle's queue-scan tally, kept in cycle locals and
 // booked into the registry once per cycle by observeScan.
 type scanCounts struct {
-	examined, gateSkips, watermarkSkips, placementFailures int64
+	examined, gateSkips, placementFailures int64
 }
 
 // observeScan books one cycle's scan tally.
 func (m *schedMetrics) observeScan(sc *scanCounts) {
 	m.jobsExamined.Add(sc.examined)
 	m.tenantGateSkips.Add(sc.gateSkips)
-	m.watermarkSkips.Add(sc.watermarkSkips)
 	m.placementFailures.Add(sc.placementFailures)
 }
 

@@ -168,11 +168,12 @@ type PlacementPolicy interface {
 // ProvablyUnplaceable must return true only when Choose would certainly
 // return an empty plan for j against v — a cheap arithmetic proof, no
 // scoring. The scheduler uses it to skip Choose entirely on the hot blocked
-// paths (the cycle's backfill scan over jobs that cannot fit, and every
-// non-viable instant of the reservation walk), where growPlan's greedy
-// extension dominated the cycle profile. Soundness is what matters:
-// a false negative just means Choose runs and discovers emptiness itself,
-// so decisions are identical with or without the precheck.
+// paths (every cycle visit to a job that cannot fit — it is the cycle's only
+// placement skip — and every non-viable instant of the reservation walk),
+// where growPlan's greedy extension dominated the cycle profile. Soundness
+// is what matters: a false negative just means Choose runs and discovers
+// emptiness itself, so decisions are identical with or without the
+// precheck.
 type fitProver interface {
 	ProvablyUnplaceable(j *Job, v *CloudView) bool
 }
@@ -817,11 +818,6 @@ type RandomPlacement struct{}
 
 // Name implements PlacementPolicy.
 func (RandomPlacement) Name() string { return "random" }
-
-// SingleCloudOnly tells the scheduler this policy never spans, enabling the
-// per-cloud blocked-job watermark (frees on clouds smaller than the gang
-// can never wake a job queued under it).
-func (RandomPlacement) SingleCloudOnly() bool { return true }
 
 // ProvablyUnplaceable implements fitProver: the policy only ever picks a
 // single cloud with room for the whole gang, and when no cloud qualifies

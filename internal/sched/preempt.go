@@ -160,22 +160,8 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 	}
 	// Backend teardown freed the cores synchronously (admission is
 	// synchronous since the unified ledger): re-snapshot and place the head.
-	// The mid-cycle frees must advance the watermark clocks here —
-	// observeFrees only diffs at cycle starts, and whatever the head does
-	// not consume would otherwise never wake other unfit-marked jobs.
-	s.evictPrev = append(s.evictPrev[:0], v.free...)
-	if v.Reset(s.snapshotClouds()) {
-		s.viewShape++
-	}
+	v.Reset(s.snapshotClouds())
 	s.invalidateMemos() // mid-cycle re-snapshot: the memo's view is gone
-	for i, c := range v.Clouds {
-		if i < len(s.evictPrev) {
-			if d := v.free[i] - s.evictPrev[i]; d > 0 {
-				s.freedCum += int64(d)
-				s.freedBy[c.Name] += int64(d)
-			}
-		}
-	}
 	plan := s.cfg.Placement.Choose(s, head, v)
 	if plan.Empty() {
 		// Cannot happen while the what-if view mirrors backend frees; if a
@@ -252,7 +238,6 @@ func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 	j.coresNow, j.accrued, j.charged = 0, 0, 0
 	j.deadlineGrown, j.spotReplaced, j.shrunk = 0, 0, false
 	j.relocating = false
-	j.unfit = false
 	// Submission-order insert: everything the victim originally preceded,
 	// it still precedes.
 	i := sort.Search(len(t.queue), func(k int) bool { return t.queue[k].seq > j.seq })

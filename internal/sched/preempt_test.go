@@ -8,7 +8,7 @@ import (
 
 // Tests for revocable placement: spot-priced preemption, reservation aging,
 // the reservation recompute cache, consolidation of running spanning gangs,
-// and the per-cloud blocked-job watermark.
+// and single-cloud blocked jobs behind the fit prover.
 
 // liarBackend returns a backend where jobs named "liar" run `factor` times
 // their estimate — the optimistic-estimate workload that makes reservations
@@ -291,9 +291,10 @@ func TestResvCacheHits(t *testing.T) {
 	}
 }
 
-// TestPerCloudWatermark: under a single-cloud-only policy, frees on a cloud
-// too small to ever host the job do not wake it (placement skipped), and
-// the job still dispatches exactly when the eligible cloud frees up.
+// TestPerCloudWatermark guards the fit-prover path under a single-cloud
+// policy: frees on a cloud too small to ever host the job keep it queued
+// (RandomPlacement's prover proves every visit empty), and the job still
+// dispatches exactly when the eligible cloud frees up.
 func TestPerCloudWatermark(t *testing.T) {
 	k := sim.NewKernel(3)
 	b := NewSimBackend(k)
@@ -310,22 +311,6 @@ func TestPerCloudWatermark(t *testing.T) {
 	}
 	// 8 cores: only "big" can ever host it under a single-cloud policy.
 	blocked := submitN(t, s, "t", 1, JobSpec{Workers: 4, CoresPerWorker: 2, EstimateSeconds: 50})[0]
-	k.At(300*sim.Second, func() {
-		j := s.jobByID(blocked)
-		if !j.unfit || !j.unfitPerCloud {
-			t.Errorf("blocked job not per-cloud marked: unfit=%v perCloud=%v", j.unfit, j.unfitPerCloud)
-			return
-		}
-		if len(j.unfitMarks) != 1 || j.unfitMarks[0].cloud != "big" {
-			t.Errorf("unfit marks = %+v, want exactly {big}", j.unfitMarks)
-		}
-		if s.freedBy["small"] == 0 {
-			t.Error("small's churn produced no per-cloud frees; scenario broken")
-		}
-		if s.canFit(j) {
-			t.Error("frees on the ineligible small cloud woke the blocked job")
-		}
-	})
 	k.Run()
 	hi, _ := s.Poll(bigHold)
 	bi, _ := s.Poll(blocked)
@@ -333,7 +318,7 @@ func TestPerCloudWatermark(t *testing.T) {
 		t.Fatalf("blocked job state %v", bi.State)
 	}
 	if bi.Started != hi.Finished {
-		t.Errorf("blocked job started at %v, want big's release %v (per-cloud watermark stranded it)",
+		t.Errorf("blocked job started at %v, want big's release %v (the prover stranded it)",
 			bi.Started, hi.Finished)
 	}
 }

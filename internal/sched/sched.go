@@ -145,23 +145,6 @@ type Job struct {
 	charged     float64  // core-seconds charged at dispatch (estimate)
 	estDuration sim.Time // estimate at the chosen plan's speed
 	dispatched  bool
-	// Blocked-head watermark record: when placement fails, unfitSlots is
-	// the whole-worker slot count available at that instant and unfitFreed
-	// the scheduler's cumulative freed-core clock. Until enough cores free
-	// up to possibly close the gap, later cycles skip re-running placement
-	// for this job (see Scheduler.canFit). Under a single-cloud-only policy
-	// the record is per-cloud instead (unfitMarks): one {slots, freed-clock}
-	// entry per cloud that could ever host the gang, so frees on clouds the
-	// job can never use do not wake it. unfitShape is the scheduler's
-	// viewShape at the mark: a cloud joining or leaving the view since voids
-	// the record.
-	unfit         bool
-	unfitSlots    int
-	unfitFreed    int64
-	unfitPerCloud bool
-	unfitGen      uint64
-	unfitShape    uint64
-	unfitMarks    []unfitMark
 	// Delivered-capacity integration: coresNow is the core count the job
 	// holds right now; accrued is core-seconds banked at resize events
 	// (grow/shrink/revocation), so Shares attributes elapsed time at the
@@ -188,15 +171,6 @@ type Job struct {
 	outageRequeuedAt sim.Time
 	retryAt          sim.Time
 	launchRetries    int
-}
-
-// unfitMark is one cloud's entry in a single-cloud job's watermark record:
-// the whole-worker slots it offered at the failed placement and the value
-// of that cloud's freed-core clock at that instant.
-type unfitMark struct {
-	cloud string
-	slots int
-	freed int64
 }
 
 // coresPerWorker returns the normalised per-worker core count.
@@ -517,9 +491,9 @@ type Config struct {
 	// creates a private registry (the scheduler always runs instrumented;
 	// read it back with Scheduler.Obs).
 	Obs *obs.Registry
-	// Trace records scheduler decisions (dispatch, reservation, watermark
-	// block/wake, preemption with victim pricing, consolidation) into the
-	// given tracer. Nil disables tracing.
+	// Trace records scheduler decisions (dispatch, reservation, blocked
+	// placement, tenant gate, preemption with victim pricing, consolidation)
+	// into the given tracer. Nil disables tracing.
 	Trace *obs.Tracer
 }
 
@@ -667,38 +641,11 @@ type Scheduler struct {
 	relClouds    []string // sorted cloud-name table backing coreRelease.cloudRank
 	relSnapDirty bool
 
-	// Blocked-head watermark: freedCum is a cumulative clock of free-core
-	// gains observed at cycle starts (completions, shrinks, revocations,
-	// resizes — measured as snapshot-vs-previous-cycle-end, so capacity
-	// added behind the scheduler's back counts too); prevFreeNames/Vals are
-	// the previous cycle's end-of-cycle free vector it diffs against, kept
-	// as parallel slices in first-seen cloud order (view order in practice,
-	// so the per-cycle diff and save run on index matches instead of map
-	// hashes). freedBy is the same clock kept per cloud, so
-	// single-cloud-only policies can ignore frees on clouds their jobs can
-	// never use (see canFit).
-	freedCum      int64
-	prevFreeNames []string
-	prevFreeVals  []int
-	freedBy       map[string]int64
-	// viewShape counts the cycle views whose cloud list differed from the
-	// view before (CloudView.Reset). The freed-core clocks diff each cloud
-	// against its last-seen free count, so a cloud that left the view with
-	// cores free and rejoins — readmitted from quarantine — brings back
-	// slots no clock credits; bumping viewShape voids every watermark
-	// record made before it.
-	viewShape uint64
-
-	// singleCloud records that the placement policy never spans (optional
-	// SingleCloudOnly interface), enabling the per-cloud watermark marks.
-	singleCloud bool
-
 	// Per-cycle scratch, reused across cycles.
 	view         CloudView
 	resvView     CloudView // reserve()'s what-if copy of the view
 	evictView    CloudView // preemption's what-if copy (freed victim cores)
 	evictCand    []*Job    // preemption victim-candidate scratch
-	evictPrev    []int     // pre-eviction free vector (watermark credit)
 	snapScratch  []CloudInfo
 	relScratch   []coreRelease // snapshotReleases output buffer
 	overScratch  []coreRelease // snapshotReleases overdue-remap buffer
@@ -782,7 +729,6 @@ func New(b Backend, cfg Config) *Scheduler {
 		tenants:   make(map[string]*Tenant),
 		active:    make(map[string]*Job),
 		archive:   make(map[string]*Job),
-		freedBy:   make(map[string]int64),
 		patternOf: make(map[string]string),
 		m:         newSchedMetrics(cfg.Obs),
 		tr:        cfg.Trace,
@@ -792,9 +738,6 @@ func New(b Backend, cfg Config) *Scheduler {
 	// One completion callback for every launch: dispatch hands this to
 	// Backend.Launch instead of closing over each job.
 	s.doneCB = func(j *Job, out Outcome) { s.complete(j, out) }
-	if sc, ok := s.cfg.Placement.(interface{ SingleCloudOnly() bool }); ok {
-		s.singleCloud = sc.SingleCloudOnly()
-	}
 	if fp, ok := s.cfg.Placement.(fitProver); ok {
 		s.prover = fp
 	}
@@ -985,11 +928,11 @@ func (s *Scheduler) kick() {
 // against fresh estimates.
 //
 // The pass runs over the per-cycle CloudView (one indexed snapshot shared
-// by every score, price, and estimate) and the maintained release list;
-// jobs recorded as unplaceable skip placement entirely until enough cores
-// have been freed to possibly fit them (the blocked-head watermark), and
-// once the reservation is set a tenant whose smallest queued demand exceeds
-// the free cores is skipped whole (the tenant demand gate, nextTenant).
+// by every score, price, and estimate) and the maintained release list.
+// Each visited job runs placement only when the policy's fit prover cannot
+// show the plan would be empty (provablyEmpty), and once the reservation is
+// set a tenant whose smallest queued demand exceeds the free cores is
+// skipped whole (the tenant demand gate, nextTenant).
 func (s *Scheduler) cycle() {
 	s.cyclePending = false
 	s.cycleNum++
@@ -1011,9 +954,7 @@ func (s *Scheduler) cycle() {
 		// cycle makes. Free when no cloud is quarantined (nil-map len check).
 		snap = s.pruneQuarantine(snap)
 	}
-	if v.Reset(snap) {
-		s.viewShape++
-	}
+	v.Reset(snap)
 	if s.sealMatches(v) {
 		// The world this cycle sees is byte-identical to the one the
 		// previous cycle left: every plan memo entry is still the answer
@@ -1023,7 +964,6 @@ func (s *Scheduler) cycle() {
 		s.invalidateMemos()
 	}
 	s.decayTenants()
-	s.observeFrees(v)
 	var releases []coreRelease // running-job ETA snapshot, built on first block
 	haveReleases := false
 	gateFree := gateOff // Σ max(free, 0) once the reservation is set
@@ -1047,26 +987,8 @@ func (s *Scheduler) cycle() {
 			continue
 		}
 		var plan Plan
-		if s.canFit(j) {
-			if j.unfit && s.tr != nil {
-				// The watermark opened: enough cores freed since the block
-				// record to possibly fit the job again.
-				s.trace(obs.TraceEvent{Kind: "wake", Tenant: t.Name, Job: j.ID,
-					Workers: j.workers(), Cores: j.Cores()})
-			}
-			if !s.provablyEmpty(j, v) {
-				plan = s.choosePlan(j, v)
-			}
-			if plan.Empty() {
-				sc.placementFailures++
-				s.markUnfit(j, v)
-				if s.tr != nil {
-					s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
-						Workers: j.workers(), Cores: j.Cores()})
-				}
-			}
-		} else {
-			sc.watermarkSkips++
+		if !s.provablyEmpty(j, v) {
+			plan = s.choosePlan(j, v)
 		}
 		if !plan.Empty() {
 			if s.resv != nil && !s.backfillOK(j, plan, s.resv, v) {
@@ -1083,6 +1005,11 @@ func (s *Scheduler) cycle() {
 				gateFree = v.freeSum()
 			}
 			continue
+		}
+		sc.placementFailures++
+		if s.tr != nil {
+			s.trace(obs.TraceEvent{Kind: "block", Tenant: t.Name, Job: j.ID,
+				Workers: j.workers(), Cores: j.Cores()})
 		}
 		if s.resv == nil {
 			tr0 := s.m.clock()
@@ -1147,7 +1074,6 @@ func (s *Scheduler) cycle() {
 		t.scan++
 	}
 	s.releasePrevResv()
-	s.saveEndFrees(v)
 	s.sealRecord(v)
 	s.m.observePhases(s.m.clock()-t0, resvNanos, preemptNanos)
 	s.m.observeScan(&sc)
@@ -1229,126 +1155,6 @@ func (s *Scheduler) dropShields() {
 	s.shields = s.shields[:0]
 }
 
-// observeFrees advances the watermark clock by the free cores gained since
-// the previous cycle's end — completions, elastic shrinks, revocations, and
-// capacity added behind the scheduler's back all surface here as
-// snapshot-vs-saved-vector gains.
-func (s *Scheduler) observeFrees(v *CloudView) {
-	for i, c := range v.Clouds {
-		prev := 0
-		if i < len(s.prevFreeNames) && s.prevFreeNames[i] == c.Name {
-			prev = s.prevFreeVals[i]
-		} else if j := s.prevFreeIdx(c.Name); j >= 0 {
-			prev = s.prevFreeVals[j]
-		}
-		if d := v.free[i] - prev; d > 0 {
-			s.freedCum += int64(d)
-			s.freedBy[c.Name] += int64(d)
-		}
-	}
-}
-
-// prevFreeIdx finds a cloud's slot in the saved free vector (-1 when the
-// cloud has never appeared in a snapshot). Linear: federations are small
-// and the caller's index fast path already covers the steady state.
-func (s *Scheduler) prevFreeIdx(name string) int {
-	for i, n := range s.prevFreeNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// saveEndFrees records the end-of-cycle free vector the next cycle diffs
-// against. Slots for clouds that left the snapshot are kept, matching the
-// old map semantics: a cloud that reappears diffs against its last known
-// value, not zero.
-func (s *Scheduler) saveEndFrees(v *CloudView) {
-	for i, c := range v.Clouds {
-		switch {
-		case i < len(s.prevFreeNames) && s.prevFreeNames[i] == c.Name:
-			s.prevFreeVals[i] = v.free[i]
-		default:
-			if j := s.prevFreeIdx(c.Name); j >= 0 {
-				s.prevFreeVals[j] = v.free[i]
-			} else {
-				s.prevFreeNames = append(s.prevFreeNames, c.Name)
-				s.prevFreeVals = append(s.prevFreeVals, v.free[i])
-			}
-		}
-	}
-}
-
-// canFit reports whether the job could possibly be placed now. A job with
-// an unfit record is skipped until the freed-core clock has advanced enough
-// to close its slot gap: placing workers whole workers of cpw cores each
-// requires Σ⌊free/cpw⌋ ≥ workers across clouds under ANY policy, free cores
-// only shrink within a cycle, and every freed core adds at most one slot —
-// so unfitSlots + freedSince < workers proves placement would fail without
-// running it. Sound, never stale: capacity appearing from outside the
-// scheduler's own bookkeeping still advances the clock via observeFrees.
-//
-// Under a single-cloud-only policy the record is per-cloud: the job wakes
-// only when some cloud that could ever host the whole gang (total ≥ demand)
-// has freed enough since its mark — frees on clouds the policy can never
-// choose for it are ignored, so a flurry of small completions elsewhere
-// does not re-run placement for a job they cannot help. A ledger generation
-// bump (cloud added, resized, or a forced transition) voids the marks.
-//
-// Either record is void once the view's cloud list has changed since the
-// mark (viewShape): the clocks credit frees on clouds present in
-// consecutive cycles, not capacity on a cloud that rejoins the view.
-func (s *Scheduler) canFit(j *Job) bool {
-	if !j.unfit || j.unfitShape != s.viewShape {
-		return true
-	}
-	if j.unfitPerCloud {
-		if j.unfitGen != s.B.Ledger().Generation() {
-			return true
-		}
-		for _, m := range j.unfitMarks {
-			if m.slots+int(s.freedBy[m.cloud]-m.freed) >= j.workers() {
-				return true
-			}
-		}
-		return false
-	}
-	return j.unfitSlots+int(s.freedCum-j.unfitFreed) >= j.workers()
-}
-
-// markUnfit records the failed placement's slot availability for canFit —
-// federation-wide for spanning-capable policies, per-eligible-cloud for
-// single-cloud-only ones.
-func (s *Scheduler) markUnfit(j *Job, v *CloudView) {
-	cpw := j.coresPerWorker()
-	slots := 0
-	for _, f := range v.free {
-		if f > 0 {
-			slots += f / cpw
-		}
-	}
-	j.unfit, j.unfitSlots, j.unfitFreed = true, slots, s.freedCum
-	j.unfitShape = s.viewShape
-	j.unfitPerCloud = s.singleCloud
-	if !s.singleCloud {
-		return
-	}
-	j.unfitGen = s.B.Ledger().Generation()
-	j.unfitMarks = j.unfitMarks[:0]
-	need := j.Cores()
-	for i, c := range v.Clouds {
-		if c.TotalCores < need {
-			continue // can never host the gang: its frees are noise
-		}
-		sl := 0
-		if v.free[i] > 0 {
-			sl = v.free[i] / cpw
-		}
-		j.unfitMarks = append(j.unfitMarks, unfitMark{cloud: c.Name, slots: sl, freed: s.freedBy[c.Name]})
-	}
-}
-
 // dispatch starts a placed job through the backend.
 func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *CloudView) {
 	s.popQueued(t, j)
@@ -1363,7 +1169,6 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	j.estDuration = sim.FromSeconds(est)
 	j.coresNow = j.Cores()
 	j.resizeAt = now
-	j.unfit = false
 	s.charge(t, j, est)
 	s.m.dispatched.Inc()
 	if backfilled {

@@ -23,9 +23,8 @@ type CloudView struct {
 
 // Reset points the view at a fresh snapshot and reloads the working free
 // vector from it. The name index is reused when the cloud names are
-// unchanged (the common case); Reset reports whether they changed — a
-// cloud joined or left the view.
-func (v *CloudView) Reset(snap []CloudInfo) bool {
+// unchanged (the common case).
+func (v *CloudView) Reset(snap []CloudInfo) {
 	v.Clouds = snap
 	v.free = v.free[:0]
 	same := len(v.names) == len(snap)
@@ -36,7 +35,7 @@ func (v *CloudView) Reset(snap []CloudInfo) bool {
 		}
 	}
 	if same {
-		return false
+		return
 	}
 	v.names = v.names[:0]
 	if v.pos == nil {
@@ -48,7 +47,6 @@ func (v *CloudView) Reset(snap []CloudInfo) bool {
 		v.names = append(v.names, c.Name)
 		v.pos[c.Name] = i
 	}
-	return true
 }
 
 // shareIndex makes v an alias of src's snapshot and name index with its own
