@@ -274,3 +274,62 @@ func TestKillAndRecover(t *testing.T) {
 		t.Fatalf("drained ledger diverges from journal replay:\nlive:\n%s\nrecovered:\n%s", live, rec)
 	}
 }
+
+// placementGuard is a SimBackend that fails the test when a launch's plan
+// names a cloud the scheduler considers down or quarantined at that instant.
+type placementGuard struct {
+	*SimBackend
+	t *testing.T
+	s *Scheduler
+}
+
+func (g *placementGuard) Launch(j *Job, plan Plan, onDone func(*Job, Outcome)) (Handle, error) {
+	for _, m := range plan.Members {
+		if g.s.Quarantined(m.Cloud) || g.s.CloudDown(m.Cloud) {
+			g.t.Errorf("t=%v: %s dispatched onto %s while it is down or quarantined (plan %s)",
+				g.SimBackend.Kernel().Now(), j.ID, m.Cloud, plan)
+		}
+	}
+	return g.SimBackend.Launch(j, plan, onDone)
+}
+
+// TestPreemptionKeepsQuarantineHidden: the preemption pass re-snapshots the
+// view mid-cycle after its evictions. That snapshot must hide quarantined
+// clouds like the cycle's own, or the head — and every job the rest of the
+// cycle visits — can land on a cloud that is still serving its quarantine.
+// Cloud q is idle, cheaper and quarantined; the head evicts the liar on c0.
+func TestPreemptionKeepsQuarantineHidden(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := liarBackend(k, 16, 4)
+	b.AddCloud("q", 16, 1, 0.05)
+	g := &placementGuard{SimBackend: b, t: t}
+	s := New(g, Config{EnablePreemption: true,
+		FaultQuarantineBase: 20 * sim.Minute, FaultQuarantineMax: 40 * sim.Minute})
+	g.s = s
+	s.Start()
+	s.AddTenant("t", 1)
+	failAt(t, k, b, s, "q", 1*sim.Second, 2*sim.Second)
+	failAt(t, k, b, s, "q", 5*sim.Second, 2*sim.Second)
+	var head, liar string
+	k.At(10*sim.Second, func() {
+		if !s.Quarantined("q") {
+			t.Fatal("q not quarantined after its second restore")
+		}
+		submitN(t, s, "t", 1, JobSpec{Name: "hold", Workers: 4, CoresPerWorker: 2, EstimateSeconds: 100})
+		head = submitN(t, s, "t", 1, JobSpec{Name: "head", Workers: 8, CoresPerWorker: 2, EstimateSeconds: 50})[0]
+		liar = submitN(t, s, "t", 1, JobSpec{Name: "liar", Workers: 4, CoresPerWorker: 2, EstimateSeconds: 80})[0]
+	})
+	k.RunUntil(5 * sim.Minute)
+	if s.Preemptions() == 0 {
+		t.Fatal("no preemption fired before t=5m; scenario broken")
+	}
+	if !s.Quarantined("q") {
+		t.Fatal("q readmitted before t=5m; scenario broken")
+	}
+	k.Run()
+	for _, id := range []string{head, liar} {
+		if ji, _ := s.Poll(id); ji.State != Done {
+			t.Errorf("%s state=%v, want done", id, ji.State)
+		}
+	}
+}

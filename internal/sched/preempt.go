@@ -160,7 +160,7 @@ func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcom
 	}
 	// Backend teardown freed the cores synchronously (admission is
 	// synchronous since the unified ledger): re-snapshot and place the head.
-	v.Reset(s.snapshotClouds())
+	s.resetView(v)
 	s.invalidateMemos() // mid-cycle re-snapshot: the memo's view is gone
 	plan := s.cfg.Placement.Choose(s, head, v)
 	if plan.Empty() {

@@ -378,6 +378,20 @@ func (s *Scheduler) snapshotClouds() []CloudInfo {
 	return s.B.Clouds()
 }
 
+// resetView points v at a fresh backend snapshot with quarantined clouds
+// hidden. The cycle start and the preemption pass's post-eviction
+// re-snapshot both use it, so no decision in a cycle sees a cloud that is
+// serving its quarantine.
+func (s *Scheduler) resetView(v *CloudView) {
+	snap := s.snapshotClouds()
+	if len(s.quarUntil) > 0 {
+		// Readmit lapsed quarantines, hide the rest. Free when no cloud is
+		// quarantined (nil-map len check).
+		snap = s.pruneQuarantine(snap)
+	}
+	v.Reset(snap)
+}
+
 // Handle controls one running job's capacity.
 type Handle interface {
 	// Grow adds n on-demand workers (elastic growth or spot replacement).
@@ -948,13 +962,7 @@ func (s *Scheduler) cycle() {
 	s.prevResv, s.resv = s.resv, nil
 	s.dropShields()
 	v := &s.view
-	snap := s.snapshotClouds()
-	if len(s.quarUntil) > 0 {
-		// Readmit lapsed quarantines, hide the rest from every decision this
-		// cycle makes. Free when no cloud is quarantined (nil-map len check).
-		snap = s.pruneQuarantine(snap)
-	}
-	v.Reset(snap)
+	s.resetView(v)
 	if s.sealMatches(v) {
 		// The world this cycle sees is byte-identical to the one the
 		// previous cycle left: every plan memo entry is still the answer
