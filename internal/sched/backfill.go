@@ -155,13 +155,13 @@ func (s *Scheduler) reclaimLeaseBuf(buf []*capacity.Lease) {
 
 // resvCache is the blocked head's reservation recompute cache. reserve()
 // is a pure function of the job, the cycle's working free vector, the
-// release snapshot, and the placement policy's inputs — so a cycle in
+// release list, and the placement policy's inputs — so a cycle in
 // which none of those moved can reuse the previous answer instead of
 // walking every release instant through the policy again. Validity is
 // keyed on the job ID, the release-list epoch (bumped by every insert,
 // remove, and pattern event), the ledger generation, and a byte-compare of
 // the free vector; it never engages while any release entry is overdue
-// (the overdue remap folds the current time into the snapshot) or for
+// (the overdue remap folds the current time into the walk) or for
 // policies that draw randomness (see cacheablePolicy).
 type resvCache struct {
 	ok   bool
@@ -181,27 +181,17 @@ type resvCache struct {
 type cacheablePolicy interface{ PureChoose() bool }
 
 // cachedReserve returns the head job's reservation, reusing the cached one
-// when provably unchanged and otherwise recomputing it from a fresh release
-// snapshot (taken lazily into *releases). On a hit the per-cloud release
-// sums at the reservation instant are restored from the cache too, so the
-// backfill checks downstream see exactly the state a recompute would have
-// produced.
-func (s *Scheduler) cachedReserve(j *Job, v *CloudView, releases *[]coreRelease, have *bool) (reservation, bool, bool) {
+// when provably unchanged and otherwise recomputing it against the live
+// release list. On a hit the per-cloud release sums at the reservation
+// instant are restored from the cache too, so the backfill checks
+// downstream see exactly the state a recompute would have produced.
+func (s *Scheduler) cachedReserve(j *Job, v *CloudView) (reservation, bool, bool) {
 	if s.resvCacheValid(j, v) {
 		s.m.resvCacheHits.Inc()
 		s.relSumAtResv = append(s.relSumAtResv[:0], s.rcache.sums...)
 		return reservation{job: j.ID, jref: j, plan: s.rcache.plan, at: s.rcache.at}, true, true
 	}
-	// (Re)take the release snapshot lazily: a dispatch since the last
-	// snapshot (possible when an earlier reservation attempt failed) adds a
-	// release the next reserve() walk must see — exactly the old
-	// rebuild-per-blocked-job behavior, minus the rebuilds whose inputs
-	// could not have changed.
-	if !*have || s.relSnapDirty {
-		*releases = s.snapshotReleases()
-		*have, s.relSnapDirty = true, false
-	}
-	r, ok := s.reserve(j, v, *releases)
+	r, ok := s.reserve(j, v)
 	return r, ok, false
 }
 
@@ -252,7 +242,7 @@ type coreRelease struct {
 	// (s.relClouds); jobKey packs the job ID's digits so uint64 order
 	// equals ID-string order (see relJobKey). Both stand in for the
 	// strings the entry used to carry: a pointer-free entry makes every
-	// release-list insert, remove, and snapshot copy a plain memmove with
+	// release-list insert and remove a plain memmove with
 	// no write barriers and leaves the GC nothing to scan in the list —
 	// the largest single barrier source on the steady-state hot path.
 	cloudRank int32
@@ -286,8 +276,8 @@ func relJobKey(seq int) uint64 {
 }
 
 // releaseLess is the canonical release order: time, then job ID, then cloud
-// for determinism — both the maintained list and the per-cycle snapshot use
-// it. jobKey and cloudRank compare exactly like the strings they encode.
+// for determinism, kept by the maintained list. jobKey and cloudRank
+// compare exactly like the strings they encode.
 func releaseLess(a, b coreRelease) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -300,9 +290,7 @@ func releaseLess(a, b coreRelease) bool {
 
 // cloudRankFor returns the cloud's position in the sorted rank table,
 // inserting it on first sight. An insert shifts the ranks of every name
-// after it, so all live release entries — the maintained list and both
-// snapshot buffers (cycle-local snapshots alias them) — are remapped in
-// the same step.
+// after it, so the live release entries are remapped in the same step.
 func (s *Scheduler) cloudRankFor(name string) int32 {
 	i := sort.SearchStrings(s.relClouds, name)
 	if i < len(s.relClouds) && s.relClouds[i] == name {
@@ -311,18 +299,24 @@ func (s *Scheduler) cloudRankFor(name string) int32 {
 	s.relClouds = append(s.relClouds, "")
 	copy(s.relClouds[i+1:], s.relClouds[i:])
 	s.relClouds[i] = name
-	for _, rel := range [][]coreRelease{s.releases, s.relScratch, s.overScratch} {
-		for k := range rel {
-			if rel[k].cloudRank >= int32(i) {
-				rel[k].cloudRank++
-			}
+	for k := range s.releases {
+		if s.releases[k].cloudRank >= int32(i) {
+			s.releases[k].cloudRank++
 		}
 	}
 	return int32(i)
 }
 
-// relCloudName resolves a release entry's cloud name from its rank.
-func (s *Scheduler) relCloudName(rank int32) string { return s.relClouds[rank] }
+// relPositions fills s.relPos with each cloud rank's position in v (-1 for
+// a cloud the view does not know), so a release walk credits entries by
+// index. Built per call: a dispatch may insert a rank between two walks.
+func (s *Scheduler) relPositions(v *CloudView) []int {
+	s.relPos = s.relPos[:0]
+	for _, name := range s.relClouds {
+		s.relPos = append(s.relPos, v.Pos(name))
+	}
+	return s.relPos
+}
 
 // insertReleases adds one entry per plan member at the job's estimated
 // completion, keeping s.releases sorted — the maintained counterpart of the
@@ -343,7 +337,6 @@ func (s *Scheduler) insertReleases(j *Job) {
 		copy(s.releases[i+1:], s.releases[i:])
 		s.releases[i] = e
 	}
-	s.relSnapDirty = true
 	s.resvEpoch++
 }
 
@@ -364,54 +357,12 @@ func (s *Scheduler) removeReleases(j *Job) {
 	}
 }
 
-// snapshotReleases returns this cycle's release view with the standard EASY
-// overdue remap: entries at or before now are assumed to release one second
-// from now. The maintained list is already sorted; only the overdue prefix
-// needs reordering — it is remapped to now+1s, re-sorted by (job, cloud),
-// and merged with any entries genuinely estimated at that instant,
-// reproducing exactly the order the full rebuild used to produce. The
-// result lives in scheduler scratch, valid for the current cycle.
-func (s *Scheduler) snapshotReleases() []coreRelease {
+// overdueReleases returns how many leading entries of the sorted release
+// list are overdue (estimated at or before now). The standard EASY remap
+// assumes they release one second from now.
+func (s *Scheduler) overdueReleases() int {
 	now := s.K.Now()
-	rel := s.releases
-	k := sort.Search(len(rel), func(i int) bool { return rel[i].at > now })
-	if k == 0 {
-		// Nothing overdue: the maintained order is the answer — but copy it
-		// out, because backfill dispatches later this cycle insert into
-		// s.releases in place while the snapshot may still be read (a later
-		// blocked job after a failed reservation).
-		s.relScratch = append(s.relScratch[:0], rel...)
-		return s.relScratch
-	}
-	remap := now + sim.Second
-	over := append(s.overScratch[:0], rel[:k]...)
-	s.overScratch = over
-	for i := range over {
-		over[i].at = remap
-	}
-	sort.Slice(over, func(i, j int) bool { return releaseLess(over[i], over[j]) })
-	out := s.relScratch[:0]
-	// Entries strictly between now and the remap instant keep their spot…
-	rest := rel[k:]
-	for len(rest) > 0 && rest[0].at < remap {
-		out = append(out, rest[0])
-		rest = rest[1:]
-	}
-	// …then the remapped overdue entries merge with genuine remap-instant
-	// entries, then the tail follows unchanged.
-	for len(over) > 0 && len(rest) > 0 && rest[0].at == remap {
-		if releaseLess(rest[0], over[0]) {
-			out = append(out, rest[0])
-			rest = rest[1:]
-		} else {
-			out = append(out, over[0])
-			over = over[1:]
-		}
-	}
-	out = append(out, over...)
-	out = append(out, rest...)
-	s.relScratch = out
-	return out
+	return sort.Search(len(s.releases), func(i int) bool { return s.releases[i].at > now })
 }
 
 // reserve computes the blocked job's earliest feasible start: walk the
@@ -421,15 +372,37 @@ func (s *Scheduler) snapshotReleases() []coreRelease {
 // when even a fully drained federation yields no plan (either capacity
 // shrank below the gang, or a single-cloud policy faces a spanning-only
 // job).
-func (s *Scheduler) reserve(j *Job, v *CloudView, releases []coreRelease) (reservation, bool) {
+//
+// The walk reads the live list in place. Crediting only adds integer cores
+// per cloud and the policy runs only at instant boundaries, so the order of
+// entries inside one instant cannot change the answer: the overdue prefix
+// is simply credited when the walk reaches the now+1s instant, after the
+// entries in (now, now+1s) and together with any genuine now+1s entries.
+func (s *Scheduler) reserve(j *Job, v *CloudView) (reservation, bool) {
 	av := &s.resvView
 	av.shareIndex(v)
-	i := 0
-	for i < len(releases) {
-		at := releases[i].at
-		for i < len(releases) && releases[i].at == at {
-			if p := av.Pos(s.relCloudName(releases[i].cloudRank)); p >= 0 {
-				av.free[p] += releases[i].cores
+	pos := s.relPositions(v)
+	rel := s.releases
+	k := s.overdueReleases()
+	remap := s.K.Now() + sim.Second
+	folded := k == 0 // the overdue prefix is credited (or empty)
+	i := k
+	for i < len(rel) || !folded {
+		at := remap
+		if i < len(rel) && (folded || rel[i].at < remap) {
+			at = rel[i].at
+		}
+		if !folded && at == remap {
+			for _, r := range rel[:k] {
+				if p := pos[r.cloudRank]; p >= 0 {
+					av.free[p] += r.cores
+				}
+			}
+			folded = true
+		}
+		for i < len(rel) && rel[i].at == at {
+			if p := pos[rel[i].cloudRank]; p >= 0 {
+				av.free[p] += rel[i].cores
 			}
 			i++
 		}
@@ -450,17 +423,22 @@ func (s *Scheduler) reserve(j *Job, v *CloudView, releases []coreRelease) (reser
 // sumReleasesAt fills the per-cloud release totals at the reservation
 // instant (s.relSumAtResv, indexed like the view) once per cycle, so every
 // backfill check reads them O(members) instead of rescanning the release
-// list per candidate.
-func (s *Scheduler) sumReleasesAt(v *CloudView, releases []coreRelease, at sim.Time) {
+// list per candidate. Overdue entries count from the now+1s remap instant.
+func (s *Scheduler) sumReleasesAt(v *CloudView, at sim.Time) {
 	s.relSumAtResv = s.relSumAtResv[:0]
 	for range v.Clouds {
 		s.relSumAtResv = append(s.relSumAtResv, 0)
 	}
-	for _, r := range releases {
+	pos := s.relPositions(v)
+	rel := s.releases
+	if at < s.K.Now()+sim.Second {
+		rel = rel[s.overdueReleases():]
+	}
+	for _, r := range rel {
 		if r.at > at {
 			break // sorted by time: nothing later counts
 		}
-		if p := v.Pos(s.relCloudName(r.cloudRank)); p >= 0 {
+		if p := pos[r.cloudRank]; p >= 0 {
 			s.relSumAtResv[p] += r.cores
 		}
 	}

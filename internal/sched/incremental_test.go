@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
 	"strconv"
 	"testing"
@@ -169,20 +171,16 @@ func TestWatermarkAccumulatesFrees(t *testing.T) {
 	}
 }
 
-// oracleReleases is the original rebuild-and-sort pendingReleases
-// definition, kept as the oracle the maintained release list is checked
-// against.
-func oracleReleases(s *Scheduler) []coreRelease {
-	now := s.K.Now()
+// rebuildReleases is the original rebuild-and-sort pendingReleases scan
+// over every running job, without the overdue remap: the reference the
+// maintained release list is checked against.
+func rebuildReleases(s *Scheduler) []coreRelease {
 	var out []coreRelease
 	for _, j := range s.running {
 		if j.State != Running || j.Spec.External() {
 			continue
 		}
 		eta := j.Started + j.estDuration
-		if eta <= now {
-			eta = now + sim.Second
-		}
 		cpw := j.coresPerWorker()
 		for _, m := range j.Plan.Members {
 			// cloudRankFor is idempotent here: every cloud a running job
@@ -193,6 +191,52 @@ func oracleReleases(s *Scheduler) []coreRelease {
 	}
 	sort.Slice(out, func(i, k int) bool { return releaseLess(out[i], out[k]) })
 	return out
+}
+
+// oracleReleases is the sorted release snapshot the reservation walk used
+// to take every blocked cycle: the rebuild with the standard EASY overdue
+// remap (entries at or before now release at now+1s), re-sorted.
+func oracleReleases(s *Scheduler) []coreRelease {
+	now := s.K.Now()
+	out := rebuildReleases(s)
+	for i := range out {
+		if out[i].at <= now {
+			out[i].at = now + sim.Second
+		}
+	}
+	sort.Slice(out, func(i, k int) bool { return releaseLess(out[i], out[k]) })
+	return out
+}
+
+// oracleReserve is reserve's definition over a materialized release list:
+// credit each instant's entries by cloud name, then ask the policy, with
+// no fit precheck.
+func oracleReserve(s *Scheduler, j *Job, v *CloudView, rel []coreRelease) (reservation, bool) {
+	var av CloudView
+	av.shareIndex(v)
+	for i := 0; i < len(rel); {
+		at := rel[i].at
+		for ; i < len(rel) && rel[i].at == at; i++ {
+			if p := av.Pos(s.relClouds[rel[i].cloudRank]); p >= 0 {
+				av.free[p] += rel[i].cores
+			}
+		}
+		if plan := s.cfg.Placement.Choose(s, j, &av); !plan.Empty() {
+			return reservation{job: j.ID, jref: j, plan: plan, at: at}, true
+		}
+	}
+	return reservation{}, false
+}
+
+// oracleSumsAt is sumReleasesAt's definition over a materialized list.
+func oracleSumsAt(s *Scheduler, v *CloudView, rel []coreRelease, at sim.Time) []int {
+	sums := make([]int, len(v.Clouds))
+	for _, r := range rel {
+		if p := v.Pos(s.relClouds[r.cloudRank]); r.at <= at && p >= 0 {
+			sums[p] += r.cores
+		}
+	}
+	return sums
 }
 
 func sameReleases(a, b []coreRelease) bool {
@@ -207,9 +251,36 @@ func sameReleases(a, b []coreRelease) bool {
 	return true
 }
 
+// checkReserveOracle asserts that reserve's (plan, at) for job j against v,
+// and sumReleasesAt's per-cloud sums at every oracle instant, at each extra
+// probe instant and at the reservation instant, equal the values computed
+// over the sorted oracle snapshot.
+func checkReserveOracle(t *testing.T, s *Scheduler, j *Job, v *CloudView, probes ...sim.Time) {
+	t.Helper()
+	rel := oracleReleases(s)
+	want, wantOK := oracleReserve(s, j, v, rel)
+	got, ok := s.reserve(j, v)
+	if ok != wantOK || got.at != want.at || !reflect.DeepEqual(got.plan, want.plan) {
+		t.Fatalf("now=%v job %s (%d×%d): reserve = (%v, %v, %v), oracle (%v, %v, %v)\nreleases %v\nview free %v",
+			s.K.Now(), j.ID, j.workers(), j.coresPerWorker(), got.plan, got.at, ok,
+			want.plan, want.at, wantOK, rel, v.free)
+	}
+	ats := append([]sim.Time{got.at}, probes...)
+	for _, r := range rel {
+		ats = append(ats, r.at)
+	}
+	for _, at := range ats {
+		s.sumReleasesAt(v, at)
+		if w := oracleSumsAt(s, v, rel, at); !reflect.DeepEqual(s.relSumAtResv, w) {
+			t.Fatalf("now=%v: sumReleasesAt(%v) = %v, oracle %v\nreleases %v", s.K.Now(), at, s.relSumAtResv, w, rel)
+		}
+	}
+}
+
 // TestReleaseListMatchesRebuild: under churn (staggered arrivals, spanning
-// jobs, completions) the maintained sorted release list snapshot must equal
-// the full rebuild at every checkpoint.
+// jobs, completions) the maintained sorted release list must equal the full
+// rebuild at every checkpoint, and the in-place reservation walk over it
+// must agree with the oracle snapshot for gangs of several widths.
 func TestReleaseListMatchesRebuild(t *testing.T) {
 	k := sim.NewKernel(7)
 	b := NewSimBackend(k)
@@ -235,10 +306,19 @@ func TestReleaseListMatchesRebuild(t *testing.T) {
 	checks := 0
 	for at := sim.Time(20) * sim.Second; at < 600*sim.Second; at += 37 * sim.Second {
 		k.At(at, func() {
-			got := append([]coreRelease(nil), s.snapshotReleases()...)
-			want := oracleReleases(s)
-			if !sameReleases(got, want) {
-				t.Errorf("at %v: snapshot %v != rebuild %v", s.K.Now(), got, want)
+			if got, want := s.releases, rebuildReleases(s); !sameReleases(got, want) {
+				t.Errorf("at %v: maintained list %v != rebuild %v", s.K.Now(), got, want)
+			}
+			clouds := b.Clouds()
+			free := make(map[string]int, len(clouds))
+			for _, c := range clouds {
+				free[c.Name] = c.FreeCores
+			}
+			v := viewOf(clouds, free)
+			for _, w := range []int{2, 8, 12, 20} {
+				probe := &Job{ID: "J999", seq: 999, Spec: JobSpec{Tenant: "a", Workers: w,
+					CoresPerWorker: 2, EstimateSeconds: 60}}
+				checkReserveOracle(t, s, probe, &v, s.K.Now()+sim.Second)
 			}
 			checks++
 		})
@@ -249,50 +329,122 @@ func TestReleaseListMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotReleasesOverdueMerge: entries whose estimate has blown remap
-// to now+1s and interleave with genuine entries exactly as the old
-// rebuild-and-sort produced — including the (job, cloud) tie-break inside
-// the remap instant.
-func TestSnapshotReleasesOverdueMerge(t *testing.T) {
+// releaseFixture is a scheduler at a fixed clock with running jobs planted
+// directly (no backend leases), for release-walk tests that need exact
+// control over each entry's estimated completion.
+type releaseFixture struct {
+	s *Scheduler
+	b *SimBackend
+}
+
+func newReleaseFixture(now sim.Time, clouds ...string) releaseFixture {
 	k := sim.NewKernel(1)
 	b := NewSimBackend(k)
-	b.AddCloud("c0", 64, 1, 0.10)
-	b.AddCloud("c1", 64, 1, 0.10)
+	for _, c := range clouds {
+		b.AddCloud(c, 64, 1, 0.10)
+	}
 	s := New(b, Config{})
 	s.AddTenant("t", 1)
-	mk := func(id string, started, est sim.Time, members ...Member) *Job {
-		seq, err := strconv.Atoi(id[1:])
-		if err != nil {
-			t.Fatalf("test job id %q must be J<seq>", id)
-		}
-		j := &Job{ID: id, seq: seq, Spec: JobSpec{Tenant: "t", Workers: 1}, State: Running,
-			Started: started, estDuration: est, dispatched: true,
-			Plan: Plan{Members: members}}
-		s.active[id] = j
-		s.addRunning(j)
-		s.insertReleases(j)
-		return j
-	}
-	// Advance the clock to t=100s so earlier ETAs are overdue.
-	k.At(100*sim.Second, func() {})
+	k.At(now, func() {})
 	k.Run()
-	// Overdue: J10 (eta 50s, spanning) and J7 (eta 80s) remap to 101s —
-	// and must come back sorted J10 before J7 (string order), interleaved
+	return releaseFixture{s: s, b: b}
+}
+
+// run plants a running job J<seq> whose release is estimated at eta.
+func (f releaseFixture) run(seq int, eta sim.Time, members ...Member) {
+	j := &Job{ID: "J" + strconv.Itoa(seq), seq: seq, Spec: JobSpec{Tenant: "t", Workers: 1}, State: Running,
+		estDuration: eta, dispatched: true, Plan: Plan{Members: members}}
+	f.s.active[j.ID] = j
+	f.s.addRunning(j)
+	f.s.insertReleases(j)
+}
+
+// TestReserveOverdueFold: entries whose estimate has blown count from the
+// now+1s instant — after a genuine entry in (now, now+1s) and together with
+// genuine now+1s entries — exactly as the old remapped snapshot ordered
+// them.
+func TestReserveOverdueFold(t *testing.T) {
+	now := 100 * sim.Second
+	f := newReleaseFixture(now, "c0", "c1")
+	// Overdue: J10 (eta 50s, spanning) and J7 (eta 80s) count at 101s,
 	// with J3's genuine 101s entry and after J2's genuine 100.5s one.
-	mk("J10", 0, 50*sim.Second, Member{Cloud: "c1", Workers: 2}, Member{Cloud: "c0", Workers: 1})
-	mk("J7", 0, 80*sim.Second, Member{Cloud: "c0", Workers: 3})
-	mk("J2", 0, 100*sim.Second+500*sim.Millisecond, Member{Cloud: "c0", Workers: 4})
-	mk("J3", 0, 101*sim.Second, Member{Cloud: "c1", Workers: 5})
-	mk("J9", 0, 200*sim.Second, Member{Cloud: "c0", Workers: 6})
-	got := append([]coreRelease(nil), s.snapshotReleases()...)
-	want := oracleReleases(s)
-	if !sameReleases(got, want) {
-		t.Fatalf("overdue merge:\n got %v\nwant %v", got, want)
+	f.run(10, 50*sim.Second, Member{Cloud: "c1", Workers: 2}, Member{Cloud: "c0", Workers: 1})
+	f.run(7, 80*sim.Second, Member{Cloud: "c0", Workers: 3})
+	f.run(2, now+500*sim.Millisecond, Member{Cloud: "c0", Workers: 4})
+	f.run(3, now+sim.Second, Member{Cloud: "c1", Workers: 5})
+	f.run(9, 200*sim.Second, Member{Cloud: "c0", Workers: 6})
+	v := viewOf(f.b.Clouds(), nil) // nothing free now
+	// Six cores on one cloud: c0 has 4 at 100.5s, 8 at 101s.
+	j := &Job{ID: "J20", seq: 20, Spec: JobSpec{Tenant: "t", Workers: 6, CoresPerWorker: 1, EstimateSeconds: 10}}
+	r, ok := f.s.reserve(j, &v)
+	if !ok || r.at != now+sim.Second || r.plan.Workers() != 6 {
+		t.Fatalf("reserve = (%v, %v, %v), want 6 workers at %v", r.plan, r.at, ok, now+sim.Second)
 	}
-	// Sanity on the expected shape itself: J2 first, then the 101s group
-	// ordered J10, J10, J3, J7 by (job, cloud)… i.e. string order.
-	if got[0].jobKey != relJobKey(2) || got[len(got)-1].jobKey != relJobKey(9) {
-		t.Fatalf("unexpected envelope: %v", got)
+	for _, c := range []struct {
+		at     sim.Time
+		c0, c1 int
+	}{
+		{now, 0, 0},
+		{now + 500*sim.Millisecond, 4, 0},
+		{now + sim.Second, 8, 7},
+		{200 * sim.Second, 14, 7},
+	} {
+		f.s.sumReleasesAt(&v, c.at)
+		if got := f.s.relSumAtResv; got[v.Pos("c0")] != c.c0 || got[v.Pos("c1")] != c.c1 {
+			t.Errorf("sumReleasesAt(%v) = %v, want c0=%d c1=%d", c.at, got, c.c0, c.c1)
+		}
+	}
+	checkReserveOracle(t, f.s, j, &v, now+500*sim.Millisecond)
+}
+
+// TestReserveMatchesOracleRandom: on seeded random release sets mixing
+// overdue entries, entries in (now, now+1s) and entries exactly at now+1s,
+// reserve and sumReleasesAt over the live list equal the oracle snapshot's
+// answers — including after a mid-cycle dispatch onto a cloud the rank
+// table has not seen, which shifts every existing entry's rank.
+func TestReserveMatchesOracleRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	now := 100 * sim.Second
+	names := []string{"c0", "c1", "c2", "c3"}
+	eta := func() sim.Time {
+		switch rng.Intn(5) {
+		case 0:
+			return sim.Time(1+rng.Intn(100)) * sim.Second // overdue, now included
+		case 1:
+			return now + sim.Time(1+rng.Intn(999))*sim.Millisecond
+		case 2:
+			return now + sim.Second
+		default:
+			return now + sim.Time(2+rng.Intn(30))*sim.Second
+		}
+	}
+	members := func(clouds []string) []Member {
+		var ms []Member
+		for _, i := range rng.Perm(len(clouds))[:1+rng.Intn(len(clouds))] {
+			ms = append(ms, Member{Cloud: clouds[i], Workers: 1 + rng.Intn(8)})
+		}
+		return ms
+	}
+	for trial := 0; trial < 300; trial++ {
+		// "a0" sorts before every cN, so its first release shifts them all.
+		f := newReleaseFixture(now, append([]string{"a0"}, names...)...)
+		seqs := rng.Perm(40)
+		for n := 1 + rng.Intn(20); n > 0; n-- {
+			f.run(1+seqs[n], eta(), members(names)...)
+		}
+		free := make(map[string]int)
+		for _, c := range append([]string{"a0"}, names...) {
+			free[c] = rng.Intn(8) - 1
+		}
+		v := viewOf(f.b.Clouds(), free)
+		j := &Job{ID: "J100", seq: 100, Spec: JobSpec{Tenant: "t", Workers: 1 + rng.Intn(60),
+			CoresPerWorker: 1 + rng.Intn(2), EstimateSeconds: 30}}
+		probes := []sim.Time{now, now + 500*sim.Millisecond, now + sim.Second}
+		checkReserveOracle(t, f.s, j, &v, probes...)
+		// Mid-cycle: a dispatch onto a0 inserts rank 0. The next walk must
+		// not resolve ranks through a table built before the insert.
+		f.run(50, eta(), members([]string{"a0", "c1"})...)
+		checkReserveOracle(t, f.s, j, &v, probes...)
 	}
 }
 

@@ -192,29 +192,32 @@ type placeScratch struct {
 	growCandIdx []int
 	growBestIdx []int
 	nameScratch []string
-	strA, strB  []byte // betterPlan tie-break rendering
-	memberSlab  []Member
+	strA, strB  []byte     // betterPlan tie-break rendering
+	slab        memberSlab // members of the plans Choose and choosePlan return
 }
 
-// persistMembers copies a scratch-backed member list into the scratch's
-// append-only slab so the returned plan survives scratch reuse without a
-// per-plan allocation. Slices are three-index capped: an append to a
-// returned plan copies out instead of clobbering the next plan's members.
-// Chunks are never reused, so escaping plans stay valid forever.
-func (ps *placeScratch) persistMembers(m []Member) []Member {
+// memberSlab is an append-only member arena. persist copies a
+// scratch-backed member list into it so the returned plan survives scratch
+// reuse without a per-plan allocation. Slices are three-index capped: an
+// append to a returned plan copies out instead of clobbering the next
+// plan's members. Chunks are never reused, so escaping plans stay valid
+// forever; a chunk stays live while any plan carved from it does.
+type memberSlab struct{ chunk []Member }
+
+func (sl *memberSlab) persist(m []Member) []Member {
 	if len(m) == 0 {
 		return nil
 	}
-	if cap(ps.memberSlab)-len(ps.memberSlab) < len(m) {
+	if cap(sl.chunk)-len(sl.chunk) < len(m) {
 		n := 256
 		if len(m) > n {
 			n = len(m)
 		}
-		ps.memberSlab = make([]Member, 0, n)
+		sl.chunk = make([]Member, 0, n)
 	}
-	n := len(ps.memberSlab)
-	ps.memberSlab = append(ps.memberSlab, m...)
-	return ps.memberSlab[n : n+len(m) : n+len(m)]
+	n := len(sl.chunk)
+	sl.chunk = append(sl.chunk, m...)
+	return sl.chunk[n : n+len(m) : n+len(m)]
 }
 
 // planMemoSlots sizes the plan memo table: one entry per distinct job shape
@@ -295,9 +298,9 @@ func (s *Scheduler) invalidateMemos() {
 }
 
 // choosePlan is the cycle scan's Choose entry point: a memo hit returns the
-// cached plan (fresh member copy, same breakdown), a miss delegates to the
-// policy and records the answer in a round-robin slot for the rest of the
-// frozen-view window.
+// cached plan (members copied into the placement slab, same breakdown), a
+// miss delegates to the policy and records the answer in a round-robin slot
+// for the rest of the frozen-view window.
 func (s *Scheduler) choosePlan(j *Job, v *CloudView) Plan {
 	if !s.memoable || j.Spec.InputFractions != nil {
 		return s.cfg.Placement.Choose(s, j, v)
@@ -306,9 +309,7 @@ func (s *Scheduler) choosePlan(j *Job, v *CloudView) Plan {
 	if m := s.memoLookup(j, boosted); m != nil {
 		s.m.planMemoHits.Inc()
 		p := m.plan
-		if len(m.members) > 0 {
-			p.Members = append([]Member(nil), m.members...)
-		}
+		p.Members = s.place.slab.persist(m.members)
 		return p
 	}
 	p := s.cfg.Placement.Choose(s, j, v)
@@ -654,7 +655,7 @@ func (BestScore) Choose(s *Scheduler, j *Job, v *CloudView) Plan {
 	}
 	best := scanSingleClouds(s, j, v, ps, workers, cpw, boost)
 	if !best.Empty() {
-		best.Members = ps.persistMembers(best.Members)
+		best.Members = ps.slab.persist(best.Members)
 		return best
 	}
 	return scanGangClouds(s, j, v, ps, workers, cpw)
@@ -680,9 +681,7 @@ func scanGangClouds(s *Scheduler, j *Job, v *CloudView, ps *placeScratch, worker
 			best, bestPrice = p, price
 		}
 	}
-	if !best.Empty() {
-		best.Members = append([]Member(nil), best.Members...)
-	}
+	best.Members = ps.slab.persist(best.Members)
 	return best
 }
 

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/capacity"
@@ -80,32 +82,36 @@ func (s *Scheduler) evictPrice(j *Job, now sim.Time, shares, entitled map[string
 // price and added to a what-if view one at a time until the placement
 // policy produces a plan. nil when even evicting every candidate leaves the
 // head unplaceable (the eviction would be pure waste, so none happens).
-func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]float64) {
+// The result aliases scheduler scratch, valid until the next call.
+func (s *Scheduler) chooseVictims(head *Job, v *CloudView) []victimCand {
 	cand := s.evictCand[:0]
 	for _, j := range s.running {
 		if j != head && s.preemptible(j) {
-			cand = append(cand, j)
+			cand = append(cand, victimCand{j: j})
 		}
 	}
 	s.evictCand = cand
 	if len(cand) == 0 {
-		return nil, nil
+		return nil
 	}
 	now := s.K.Now()
 	shares, entitled := s.Shares(), s.EntitledShares()
-	prices := make(map[*Job]float64, len(cand))
-	for _, j := range cand {
-		prices[j] = s.evictPrice(j, now, shares, entitled)
+	for i := range cand {
+		cand[i].price = s.evictPrice(cand[i].j, now, shares, entitled)
 	}
-	sort.Slice(cand, func(i, k int) bool {
-		if prices[cand[i]] != prices[cand[k]] {
-			return prices[cand[i]] < prices[cand[k]]
+	slices.SortFunc(cand, func(a, b victimCand) int {
+		if a.price != b.price {
+			if a.price < b.price {
+				return -1
+			}
+			return 1
 		}
-		return cand[i].seq < cand[k].seq // determinism
+		return cmp.Compare(a.j.seq, b.j.seq) // determinism
 	})
 	av := &s.evictView
 	av.shareIndex(v)
-	for n, victim := range cand {
+	for n, c := range cand {
+		victim := c.j
 		// Only the victim's base plan is credited to the what-if view: the
 		// scheduler does not know which clouds host its elastic extras, and
 		// under-crediting is the safe direction — at worst one more victim
@@ -121,10 +127,16 @@ func (s *Scheduler) chooseVictims(head *Job, v *CloudView) ([]*Job, map[*Job]flo
 			continue
 		}
 		if plan := s.cfg.Placement.Choose(s, head, av); !plan.Empty() {
-			return cand[:n+1], prices
+			return cand[:n+1]
 		}
 	}
-	return nil, nil
+	return nil
+}
+
+// victimCand is one eviction candidate and its price.
+type victimCand struct {
+	j     *Job
+	price float64
 }
 
 // preemptOutcome reports what the eviction pass did.
@@ -149,14 +161,14 @@ const (
 // with a re-snapshotted view. preemptNone leaves everything as it was (no
 // victim is evicted unless the head provably starts).
 func (s *Scheduler) preemptFor(t *Tenant, head *Job, v *CloudView) preemptOutcome {
-	victims, prices := s.chooseVictims(head, v)
+	victims := s.chooseVictims(head, v)
 	if victims == nil {
 		return preemptNone
 	}
 	now := s.K.Now()
 	var shields []*capacity.Lease
-	for _, victim := range victims {
-		shields = append(shields, s.evict(victim, now, prices[victim], "preempt")...)
+	for _, c := range victims {
+		shields = append(shields, s.evict(c.j, now, c.price, "preempt")...)
 	}
 	// Backend teardown freed the cores synchronously (admission is
 	// synchronous since the unified ledger): re-snapshot and place the head.
@@ -220,7 +232,6 @@ func (s *Scheduler) requeue(j *Job, progressFrac float64) {
 	s.trueUp(t, j, now)
 	s.removeReleases(j)
 	s.dropRunning(j)
-	s.relSnapDirty = true
 	// Progress credit compounds across evictions: the last dispatch ran
 	// (1 − creditFrac) of the original work, of which progressFrac finished.
 	if progressFrac > 0 {

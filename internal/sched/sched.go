@@ -588,7 +588,7 @@ func (c Config) maxSlips() int {
 // Its state is indexed for incremental cycles: jobs split into an active
 // set and a finished archive (so no hot path ever walks history), running
 // jobs keep a submission-ordered list and a maintained sorted release list,
-// and per-cycle structures (cloud view, release snapshot, placement member
+// and per-cycle structures (cloud view, release-walk tables, placement member
 // buffers) reuse scheduler-owned scratch. Per-cycle cost is proportional to
 // active work — queued plus running jobs times candidate clouds — not to
 // every job ever submitted.
@@ -647,31 +647,29 @@ type Scheduler struct {
 
 	// releases is the maintained pending-release list: one entry per
 	// running job's plan member, sorted by (eta, job, cloud). dispatch
-	// inserts and complete removes, so blocked cycles snapshot it instead
-	// of rebuilding it from a full job scan (see backfill.go).
-	// relSnapDirty marks a mid-cycle insert, telling the cycle its release
-	// snapshot is stale.
-	releases     []coreRelease
-	relClouds    []string // sorted cloud-name table backing coreRelease.cloudRank
-	relSnapDirty bool
+	// inserts and complete removes, so blocked cycles walk it in place
+	// instead of rebuilding it from a full job scan (see backfill.go).
+	releases  []coreRelease
+	relClouds []string // sorted cloud-name table backing coreRelease.cloudRank
 
 	// Per-cycle scratch, reused across cycles.
 	view         CloudView
-	resvView     CloudView // reserve()'s what-if copy of the view
-	evictView    CloudView // preemption's what-if copy (freed victim cores)
-	evictCand    []*Job    // preemption victim-candidate scratch
+	resvView     CloudView    // reserve()'s what-if copy of the view
+	evictView    CloudView    // preemption's what-if copy (freed victim cores)
+	evictCand    []victimCand // preemption victim-candidate scratch
 	snapScratch  []CloudInfo
-	relScratch   []coreRelease // snapshotReleases output buffer
-	overScratch  []coreRelease // snapshotReleases overdue-remap buffer
-	runScratch   []*Job        // elasticTick iteration copy
-	relSumAtResv []int         // per-cloud release sum at resv.at (backfill)
-	idBuf        []byte        // Submit's job-ID formatting buffer
-	jobArena     []Job         // current Job allocation chunk (see Submit)
+	runScratch   []*Job // elasticTick iteration copy
+	relSumAtResv []int  // per-cloud release sum at resv.at (backfill)
+	relPos       []int  // cloud rank → view position (see relPositions)
+	idBuf        []byte // Submit's job-ID formatting buffer
+	jobArena     []Job  // current Job allocation chunk (see Submit)
 	doneCB       func(*Job, Outcome)
 	leaseSpare   []*capacity.Lease // retired reservation-lease backing array, reused by holdReservation
 
 	// place is the placement scratch (see BestScore.Choose / growPlan).
 	place placeScratch
+	// jobMembers packs dispatched plans' members densely (see dispatch).
+	jobMembers memberSlab
 
 	// prover is the placement policy's fit precheck when it offers one
 	// (optional fitProver interface): a cheap arithmetic proof that Choose
@@ -972,8 +970,6 @@ func (s *Scheduler) cycle() {
 		s.invalidateMemos()
 	}
 	s.decayTenants()
-	var releases []coreRelease // running-job ETA snapshot, built on first block
-	haveReleases := false
 	gateFree := gateOff // Σ max(free, 0) once the reservation is set
 	var sc scanCounts   // booked once at cycle end: no atomic op per visit
 	for {
@@ -1021,7 +1017,7 @@ func (s *Scheduler) cycle() {
 		}
 		if s.resv == nil {
 			tr0 := s.m.clock()
-			r, ok, hit := s.cachedReserve(j, v, &releases, &haveReleases)
+			r, ok, hit := s.cachedReserve(j, v)
 			resvNanos += s.m.clock() - tr0
 			if !ok {
 				if fits, _ := s.fitsFederation(j); !fits {
@@ -1045,17 +1041,16 @@ func (s *Scheduler) cycle() {
 				switch out {
 				case preemptDispatched:
 					// The head dispatched on evicted cores; the view was
-					// re-snapshotted and the release snapshot invalidated.
-					// Serve the next tenant.
+					// re-snapshotted. Serve the next tenant.
 					continue
 				case preemptEvictedOnly:
 					// Victims are gone but the head still has no plan: the
 					// reservation computed above walks their phantom release
 					// entries. Recompute it against the post-eviction state
-					// (the requeues dirtied the release snapshot and bumped
-					// the epoch, so this is a genuine re-walk).
+					// (the requeues removed those entries and bumped the
+					// epoch, so this is a genuine re-walk).
 					tr0 = s.m.clock()
-					if r2, ok2, _ := s.cachedReserve(j, v, &releases, &haveReleases); ok2 {
+					if r2, ok2, _ := s.cachedReserve(j, v); ok2 {
 						r, hit = r2, false
 					}
 					resvNanos += s.m.clock() - tr0
@@ -1067,7 +1062,7 @@ func (s *Scheduler) cycle() {
 			s.holdReservation(&r, j.coresPerWorker(), !aged)
 			gateFree = v.freeSum()
 			if !hit {
-				s.sumReleasesAt(v, releases, r.at)
+				s.sumReleasesAt(v, r.at)
 				s.cacheReservation(j, v, &r)
 				if s.tr != nil {
 					s.trace(obs.TraceEvent{Kind: "reserve", Tenant: t.Name, Job: j.ID,
@@ -1104,8 +1099,8 @@ type viewSeal struct {
 // sealMatches reports whether the fresh cycle view is byte-identical to the
 // sealed end state of the previous cycle — the condition under which
 // skipping the cycle-start view bump is sound. Mirrors resvCacheValid's
-// overdue-release guard: once a release entry is overdue, downstream
-// snapshots fold the current time in and stop being pure view functions.
+// overdue-release guard: once a release entry is overdue, the reservation
+// walk folds the current time in and stops being a pure view function.
 func (s *Scheduler) sealMatches(v *CloudView) bool {
 	if !s.memoable || !s.seal.ok {
 		return false
@@ -1169,6 +1164,10 @@ func (s *Scheduler) dispatch(t *Tenant, j *Job, plan Plan, backfilled bool, v *C
 	now := s.K.Now()
 	est := s.estimateAt(j, plan, v)
 	j.State = Running
+	// Most plans the placement slab hands out are rejected and die within
+	// the cycle; repacking the dispatched one keeps a finished job's record
+	// from pinning a whole chunk of them.
+	plan.Members = s.jobMembers.persist(plan.Members)
 	j.Plan = plan
 	j.Cloud = plan.Primary()
 	j.Started = now
